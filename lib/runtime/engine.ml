@@ -12,7 +12,8 @@
 
    Scheduling is by globally minimal start time, with sequence numbers
    breaking ties, so a run is a pure function of the program and the
-   configuration. *)
+   configuration ([Scheduler] holds the run queues and the pick
+   structure). *)
 
 module C = Olden_config
 module Cache = Olden_cache.Cache_system
@@ -40,48 +41,7 @@ exception Must_perform
 
 type task = { thread : thread; go : unit -> unit }
 
-type work_item = { pushed_at : int; wseq : int; wtask : task }
-
 type phase_mark = { pname : string; at : int; snapshot : Stats.t }
-
-type source = Src_event | Src_work
-
-(* --- Host-side scheduler shards (conservative parallel DES) -----------
-
-   Simulated processors are partitioned into [cfg.host_domains] contiguous
-   shards.  Each shard caches the best runnable candidate over its own
-   processors' event queues and work lists, so the per-step scan costs
-   O(shards) comparisons plus one O(nprocs/shards) rescan of the shard
-   whose state changed, instead of a full O(nprocs) sweep.
-
-   The cache is sound because of the conservative-DES lookahead
-   ({!Olden_config.lookahead}): every cross-processor event carries at
-   least one network traversal of delay, so an event scheduled into
-   another shard mid-epoch can never be due before the epoch's horizon.
-   Cross-shard events are therefore routed through per-(src,dst)
-   mailboxes and only merged into the destination queues at an epoch
-   barrier — the moment the global frontier reaches the earliest deferred
-   arrival — in (ready_at, seq) order.  Within a shard, and for every
-   clock the executing task can touch (Machine only ever moves the
-   executing processor's clock), a single dirty bit on the executing
-   shard restores exactness.  Execution itself stays serialized in global
-   (start, prio, avail, seq) order, so results are bit-identical for any
-   shard count. *)
-
-type shard = {
-  s_lo : int;
-  s_hi : int; (* procs [s_lo, s_hi) *)
-  mutable s_dirty : bool;
-  (* cached best candidate; [c_proc = -1] when the shard has nothing *)
-  mutable c_start : int;
-  mutable c_prio : int;
-  mutable c_avail : int;
-  mutable c_seq : int;
-  mutable c_proc : int;
-  mutable c_src : source;
-}
-
-type mail = { m_proc : int; m_ready : int; m_seq : int; m_task : task }
 
 type t = {
   cfg : C.t;
@@ -90,8 +50,7 @@ type t = {
   cache : Cache.t;
   recovery : Recovery.t option; (* Some iff a fault schedule is active *)
   failover : Failover.t option; (* Some iff a fault schedule is active *)
-  events : task Event_queue.t array; (* per processor *)
-  worklists : work_item Stack.t array; (* per processor, LIFO *)
+  sched : task Scheduler.t; (* run queues and the pick heap *)
   mutable seq : int;
   mutable cur_proc : int;
   mutable cur_thread : thread;
@@ -102,14 +61,6 @@ type t = {
       (* (processor, label) per parked waiter — deadlock diagnostics *)
   mutable phases : phase_mark list; (* newest first *)
   mutable finished : bool;
-  (* conservative parallel-DES sharding (see above) *)
-  shards : shard array;
-  shard_of : int array; (* proc -> shard index *)
-  mailboxes : mail list ref array array; (* [src_shard].[dst_shard], newest first *)
-  mutable exec_shard : int; (* shard of the task being executed, -1 outside *)
-  mutable mailbox_min : int; (* earliest deferred ready_at, max_int when none *)
-  mutable epochs : int; (* barriers taken (mailbox flushes) *)
-  mutable deferred : int; (* cross-shard events routed through mailboxes *)
 }
 
 let create cfg =
@@ -117,23 +68,6 @@ let create cfg =
   let memory = Memory.create ~nprocs:cfg.C.nprocs in
   let cache = Cache.create cfg machine memory in
   let dummy_thread = { tid = 0; seat = 0; log = Write_log.create () } in
-  let nprocs = cfg.C.nprocs in
-  let nshards = max 1 (min cfg.C.host_domains nprocs) in
-  let chunk = (nprocs + nshards - 1) / nshards in
-  let shards =
-    Array.init nshards (fun i ->
-        {
-          s_lo = i * chunk;
-          s_hi = min nprocs ((i + 1) * chunk);
-          s_dirty = true;
-          c_start = max_int;
-          c_prio = max_int;
-          c_avail = max_int;
-          c_seq = max_int;
-          c_proc = -1;
-          c_src = Src_event;
-        })
-  in
   {
     cfg;
     machine;
@@ -153,8 +87,7 @@ let create cfg =
       (if cfg.C.faults <> None then
          Some (Failover.create cfg machine cache memory)
        else None);
-    events = Array.init cfg.C.nprocs (fun _ -> Event_queue.create ());
-    worklists = Array.init cfg.C.nprocs (fun _ -> Stack.create ());
+    sched = Scheduler.create ~nprocs:cfg.C.nprocs ~now:(Machine.now machine);
     seq = 0;
     cur_proc = 0;
     cur_thread = dummy_thread;
@@ -164,13 +97,6 @@ let create cfg =
     parked = [];
     phases = [];
     finished = false;
-    shards;
-    shard_of = Array.init nprocs (fun p -> min (p / chunk) (nshards - 1));
-    mailboxes = Array.init nshards (fun _ -> Array.init nshards (fun _ -> ref []));
-    exec_shard = -1;
-    mailbox_min = max_int;
-    epochs = 0;
-    deferred = 0;
   }
 
 let memory t = t.memory
@@ -195,35 +121,13 @@ let next_seq t =
   t.seq <- t.seq + 1;
   t.seq
 
-(* Schedule a task.  Same-shard events go straight into the processor's
-   queue (the shard rescans before it is consulted again); cross-shard
-   events are deferred into the (src,dst) mailbox until the next epoch
-   barrier.  The lookahead invariant — every cross-processor event
-   carries at least [Olden_config.lookahead] cycles of delay from the
-   clock that sends it — is what makes the deferral order-preserving,
-   and is asserted here at every deferral. *)
+(* Schedule a task, and save a future continuation on a work list. *)
 let schedule_event t ~proc ~ready_at task =
-  let seq = next_seq t in
-  let ds = t.shard_of.(proc) in
-  if t.exec_shard >= 0 && ds <> t.exec_shard then begin
-    assert (
-      ready_at
-      >= Machine.now t.machine t.cur_proc + C.lookahead t.cfg);
-    let mb = t.mailboxes.(t.exec_shard).(ds) in
-    mb := { m_proc = proc; m_ready = ready_at; m_seq = seq; m_task = task } :: !mb;
-    if ready_at < t.mailbox_min then t.mailbox_min <- ready_at;
-    t.deferred <- t.deferred + 1
-  end
-  else begin
-    Event_queue.push t.events.(proc) ~ready_at ~seq task;
-    t.shards.(ds).s_dirty <- true
-  end
+  Scheduler.push_event t.sched ~proc ~ready_at ~seq:(next_seq t) task
 
 let push_work t ~proc task =
-  Stack.push
-    { pushed_at = Machine.now t.machine proc; wseq = next_seq t; wtask = task }
-    t.worklists.(proc);
-  t.shards.(t.shard_of.(proc)).s_dirty <- true
+  Scheduler.push_work t.sched ~proc ~pushed_at:(Machine.now t.machine proc)
+    ~seq:(next_seq t) task
 
 let now t = Machine.now t.machine t.cur_proc
 let advance t cycles = Machine.advance t.machine t.cur_proc cycles
@@ -987,9 +891,9 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
             for p = 0 to t.cfg.C.nprocs - 1 do
               Machine.wait_until t.machine p m
             done;
-            (* the one place a task moves clocks outside its own shard:
-               every cached shard candidate may now be stale *)
-            Array.iter (fun s -> s.s_dirty <- true) t.shards;
+            (* one of the two places clocks move off the executing
+               processor (failover is the other): re-key them all *)
+            Scheduler.touch_all t.sched;
             t.phases <-
               { pname = name; at = m; snapshot = Stats.copy (stats t) }
               :: t.phases;
@@ -1005,171 +909,26 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
 
 (* --- The scheduler loop -------------------------------------------- *)
 
-(* Pick the next item to run: globally minimal start time.  At equal start
-   times a processor steals from its own work list before accepting an
-   arrived migration: futurecall continuations unfold depth-first and keep
-   generating parallelism, so draining them first is what keeps spawn
-   chains from being starved by arriving bodies (the continuation was
-   saved by a thread that already owned the processor).  Remaining ties
-   fall back to readiness time, then creation order, for determinism.
-
-   The scan is sharded: each shard caches its own best candidate, and a
-   step rescans only shards marked dirty (the executing shard, shards
-   that received a direct push, every shard after a phase barrier), then
-   compares the [host_domains] cached keys.  [rescan] is the original
-   allocation-free scan body limited to one shard's processors. *)
-let rescan t (s : shard) =
-  s.c_start <- max_int;
-  s.c_prio <- max_int;
-  s.c_avail <- max_int;
-  s.c_seq <- max_int;
-  s.c_proc <- -1;
-  for p = s.s_lo to s.s_hi - 1 do
-    let clock = Machine.now t.machine p in
-    let q = t.events.(p) in
-    if not (Event_queue.is_empty q) then begin
-      let it = Event_queue.top q in
-      let avail = it.Event_queue.ready_at in
-      let start = if clock > avail then clock else avail in
-      let seq = it.Event_queue.seq in
-      if
-        start < s.c_start
-        || (start = s.c_start
-           && (1 < s.c_prio
-              || (1 = s.c_prio
-                 && (avail < s.c_avail
-                    || (avail = s.c_avail && seq < s.c_seq)))))
-      then begin
-        s.c_start <- start;
-        s.c_prio <- 1;
-        s.c_avail <- avail;
-        s.c_seq <- seq;
-        s.c_proc <- p;
-        s.c_src <- Src_event
-      end
-    end;
-    let wl = t.worklists.(p) in
-    if not (Stack.is_empty wl) then begin
-      let w = Stack.top wl in
-      let avail = w.pushed_at in
-      let start = if clock > avail then clock else avail in
-      if
-        start < s.c_start
-        || (start = s.c_start
-           && (0 < s.c_prio
-              || (0 = s.c_prio
-                 && (avail < s.c_avail
-                    || (avail = s.c_avail && w.wseq < s.c_seq)))))
-      then begin
-        s.c_start <- start;
-        s.c_prio <- 0;
-        s.c_avail <- avail;
-        s.c_seq <- w.wseq;
-        s.c_proc <- p;
-        s.c_src <- Src_work
-      end
-    end
-  done;
-  s.s_dirty <- false
-
-(* Candidate keys are unique (seq is globally unique), so this order is
-   total and independent of the shard partition. *)
-let shard_before (a : shard) (b : shard) =
-  a.c_start < b.c_start
-  || (a.c_start = b.c_start
-     && (a.c_prio < b.c_prio
-        || (a.c_prio = b.c_prio
-           && (a.c_avail < b.c_avail
-              || (a.c_avail = b.c_avail && a.c_seq < b.c_seq)))))
-
-(* Epoch barrier: merge every (src,dst) mailbox into the destination
-   queues, in (ready_at, seq) order per destination shard. *)
-let flush_mailboxes t =
-  let nshards = Array.length t.shards in
-  for d = 0 to nshards - 1 do
-    let pending = ref [] in
-    for s = 0 to nshards - 1 do
-      let mb = t.mailboxes.(s).(d) in
-      if !mb <> [] then begin
-        pending := List.rev_append !mb !pending;
-        mb := []
-      end
-    done;
-    match !pending with
-    | [] -> ()
-    | mails ->
-        List.sort
-          (fun a b ->
-            if a.m_ready <> b.m_ready then compare a.m_ready b.m_ready
-            else compare a.m_seq b.m_seq)
-          mails
-        |> List.iter (fun m ->
-               Event_queue.push t.events.(m.m_proc) ~ready_at:m.m_ready
-                 ~seq:m.m_seq m.m_task;
-               (* per mail, not per mailbox: a failover may have
-                  rewritten [m_proc] to a successor in another shard *)
-               t.shards.(t.shard_of.(m.m_proc)).s_dirty <- true)
-  done;
-  t.mailbox_min <- max_int;
-  t.epochs <- t.epochs + 1
-
 (* A fail-stop observed at the scheduler: run the failover protocol
    (promote the backup, rewrite the home map, handle dependents), then
    deal with the victim's resident work.  With [replica_spec.threads]
-   the victim's event queue, work list, deferred mail, and parked
-   waiters all move to the promoted successor — events keep their
-   (ready_at, seq) keys, so the global execution order stays total and
-   shard-count independent.  Without it the tasks are unrecoverable and
-   the run aborts with a deterministic report ([Threads_lost]). *)
+   the victim's event queue, work list and parked waiters all move to
+   the promoted successor — events keep their (ready_at, seq) keys, so
+   the global execution order stays total.  Without it the tasks are
+   unrecoverable and the run aborts with a deterministic report
+   ([Threads_lost]). *)
 let fail_stop t fo ~victim =
   let successor = Failover.fail_over fo ~victim in
   let replicate_threads =
     match t.cfg.C.replication with Some r -> r.C.threads | None -> false
   in
-  let q = t.events.(victim) in
-  let wl = t.worklists.(victim) in
-  let mail_count = ref 0 in
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun mb ->
-          List.iter (fun m -> if m.m_proc = victim then incr mail_count) !mb)
-        row)
-    t.mailboxes;
   let parked_count =
     List.fold_left
       (fun n (p, _) -> if p = victim then n + 1 else n)
       0 t.parked
   in
   if replicate_threads then begin
-    (* resident events: re-home, keys unchanged *)
-    while not (Event_queue.is_empty q) do
-      let it = Event_queue.take q in
-      Event_queue.push t.events.(successor)
-        ~ready_at:it.Event_queue.ready_at ~seq:it.Event_queue.seq
-        it.Event_queue.payload
-    done;
-    (* resident continuations: pop all, re-push bottom-first so the
-       victim's LIFO order survives on top of the successor's stack *)
-    let stack = ref [] in
-    while not (Stack.is_empty wl) do
-      stack := Stack.pop wl :: !stack
-    done;
-    List.iter (fun w -> Stack.push w t.worklists.(successor)) !stack;
-    (* deferred cross-shard mail addressed to the victim *)
-    if !mail_count > 0 then
-      Array.iter
-        (fun row ->
-          Array.iter
-            (fun mb ->
-              mb :=
-                List.map
-                  (fun m ->
-                    if m.m_proc = victim then { m with m_proc = successor }
-                    else m)
-                  !mb)
-            row)
-        t.mailboxes;
+    Scheduler.move t.sched ~victim ~successor;
     (* parked-waiter bookkeeping follows the continuations *)
     if parked_count > 0 then
       t.parked <-
@@ -1179,9 +938,9 @@ let fail_stop t fo ~victim =
           t.parked
   end
   else begin
-    let lost =
-      Event_queue.length q + Stack.length wl + !mail_count + parked_count
-    in
+    let events = Scheduler.events t.sched victim in
+    let works = Scheduler.works t.sched victim in
+    let lost = events + works + parked_count in
     if lost > 0 then begin
       let s = stats t in
       s.Stats.threads_lost <- s.Stats.threads_lost + lost;
@@ -1190,47 +949,34 @@ let fail_stop t fo ~victim =
         (Threads_lost
            (Printf.sprintf
               "p%d fail-stopped with %d unreplicated resident task(s) \
-               (events=%d worklist=%d mail=%d parked=%d); rerun with \
-               replica threads enabled or treat the computation as lost"
-              victim lost (Event_queue.length q) (Stack.length wl)
-              !mail_count parked_count))
+               (events=%d worklist=%d parked=%d); rerun with replica \
+               threads enabled or treat the computation as lost"
+              victim lost events works parked_count))
     end
   end;
   (* the protocol moved several clocks (successor, announcement
-     targets) and two queues changed shape: every cached shard
-     candidate may be stale *)
-  Array.iter (fun s -> s.s_dirty <- true) t.shards
+     targets): re-key every processor *)
+  Scheduler.touch_all t.sched
 
+(* Run the next item: globally minimal start time.  At equal start times
+   a processor steals from its own work list before accepting an arrived
+   migration: futurecall continuations unfold depth-first and keep
+   generating parallelism, so draining them first is what keeps spawn
+   chains from being starved by arriving bodies (the continuation was
+   saved by a thread that already owned the processor).  Remaining ties
+   fall back to readiness time, then creation order, for determinism.
+
+   The pick re-keys only processors whose queue, work list or clock
+   changed.  Pushes touch their target, [Scheduler.take] touches the
+   executing processor, and a running task moves no clock but its own
+   ([Machine.request_reply] and the one-way sends move the sender's
+   clock and the handler's [handler_free], never another clock), except
+   at a phase barrier and at failover, which re-key everything. *)
 let step t =
-  (* Refresh dirty shards and pick the globally minimal candidate,
-     flushing the mailboxes whenever the frontier has reached the
-     earliest deferred arrival (the epoch barrier; the lookahead
-     invariant keeps such flushes at least [Olden_config.lookahead]
-     cycles of virtual time apart). *)
-  let nshards = Array.length t.shards in
-  let rec pick () =
-    let best = ref (-1) in
-    for i = 0 to nshards - 1 do
-      let s = t.shards.(i) in
-      if s.s_dirty then rescan t s;
-      if s.c_proc >= 0 && (!best < 0 || shard_before s t.shards.(!best)) then
-        best := i
-    done;
-    if
-      t.mailbox_min < max_int
-      && (!best < 0 || t.shards.(!best).c_start >= t.mailbox_min)
-    then begin
-      flush_mailboxes t;
-      pick ()
-    end
-    else !best
-  in
-  let bi = pick () in
-  if bi < 0 then false
+  let proc = Scheduler.pick t.sched in
+  if proc < 0 then false
   else begin
-    let sh = t.shards.(bi) in
-    let proc = sh.c_proc in
-    let best_start = sh.c_start in
+    let best_start = Scheduler.start t.sched proc in
     match t.failover with
     | Some fo when Failover.pending fo ~proc ~time:best_start ->
         (* the pick observed a fail-stop: the victim dies *before*
@@ -1244,36 +990,28 @@ let step t =
        steps, so it drives the monitor's interval windows *)
     if Monitor.is_on () then Monitor.tick best_start;
     Machine.wait_until t.machine proc best_start;
-    let task =
-      match sh.c_src with
-      | Src_event -> (Event_queue.take t.events.(proc)).Event_queue.payload
-      | Src_work ->
-          let w = Stack.pop t.worklists.(proc) in
-          if t.cfg.C.trace then
-            Printf.eprintf "[t=%8d p=%2d] steal (tid=%d)\n%!"
-              (Machine.now t.machine proc) proc w.wtask.thread.tid;
-          let s = stats t in
-          s.Stats.steals <- s.Stats.steals + 1;
-          Machine.advance t.machine proc (costs t).C.steal;
-          if Trace.is_on () then
-            Trace.emit
-              { Trace.time = Machine.now t.machine proc; proc;
-                tid = w.wtask.thread.tid; site = -1; kind = Trace.Steal };
-          w.wtask
-    in
+    let steal = Scheduler.source t.sched proc = Scheduler.Work in
+    let task = Scheduler.take t.sched proc in
+    if steal then begin
+      if t.cfg.C.trace then
+        Printf.eprintf "[t=%8d p=%2d] steal (tid=%d)\n%!"
+          (Machine.now t.machine proc) proc task.thread.tid;
+      let s = stats t in
+      s.Stats.steals <- s.Stats.steals + 1;
+      Machine.advance t.machine proc (costs t).C.steal;
+      if Trace.is_on () then
+        Trace.emit
+          { Trace.time = Machine.now t.machine proc; proc;
+            tid = task.thread.tid; site = -1; kind = Trace.Steal }
+    end;
     t.cur_proc <- proc;
     t.cur_thread <- task.thread;
-    t.exec_shard <- bi;
     if Trace.is_on () then Trace.set_thread task.thread.tid;
     (* a task must not inherit the ambient span context of whatever ran
        last: cross-task context travels only inside scheduled closures
        (via [Span.save]/[restore]), which re-install it themselves *)
     if Span.is_on () then Span.clear ();
     task.go ();
-    t.exec_shard <- -1;
-    (* the executed task popped this shard's queue, moved this shard's
-       clock, and may have pushed same-shard events *)
-    sh.s_dirty <- true;
     true
   end
 
@@ -1287,8 +1025,8 @@ let flight_state t =
         "p%d clock=%d busy=%d comm=%d events=%d worklist=%d last_span=%d" p
         (Machine.now t.machine p)
         busy.(p) comm.(p)
-        (Event_queue.length t.events.(p))
-        (Stack.length t.worklists.(p))
+        (Scheduler.events t.sched p)
+        (Scheduler.works t.sched p)
         (Span.last_span_on p))
 
 (* The drained-but-blocked diagnostic: which sites the stuck threads
@@ -1391,10 +1129,9 @@ let exec t program =
    exactly like work the program spawned itself.
 
    Called from inside the running program (the serving driver injects
-   the whole arrival schedule from its main thread), so cross-shard
-   pushes are subject to the lookahead contract: [ready_at] must be at
-   least [Olden_config.lookahead] cycles past the injecting processor's
-   clock.  [on_complete] runs inside the request's fiber on the
+   the whole arrival schedule from its main thread).  [ready_at] must not
+   precede the injecting processor's clock, so virtual time never runs
+   backwards.  [on_complete] runs inside the request's fiber on the
    processor that finished it, with that processor's clock — the serving
    driver measures admission→completion latency from it. *)
 let inject t ~proc ~ready_at ?on_complete fn =
@@ -1425,18 +1162,9 @@ let inject t ~proc ~ready_at ?on_complete fn =
             () (handler t));
     }
 
-(* Host-side sharding counters: how often the conservative-DES machinery
-   actually engaged.  All zero when [host_domains = 1] (one shard never
-   defers). *)
-type domain_report = {
-  shards : int;
-  epochs : int; (* epoch barriers taken (mailbox flushes) *)
-  deferred_events : int; (* cross-shard events routed through mailboxes *)
-}
-
-let domain_report (t : t) =
-  { shards = Array.length t.shards; epochs = t.epochs;
-    deferred_events = t.deferred }
+(* Host-side scheduler work: deterministic, independent of the host, and
+   kept out of [report] and every snapshot. *)
+let scheduler_report t = Scheduler.report t.sched
 
 type report = {
   makespan : int;

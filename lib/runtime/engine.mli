@@ -25,8 +25,7 @@ exception Deadlock of string
 
 exception Threads_lost of string
 (** Raised when a processor fail-stops holding resident work —
-    queued events, work-list continuations, deferred mail, or parked
-    waiters — and the replication layer does not cover thread state
+    queued events, work-list continuations, or parked waiters — and the replication layer does not cover thread state
     ([replica_spec.threads = false]): the tasks are unrecoverable, so
     the run aborts with a deterministic report instead of wedging. *)
 
@@ -72,12 +71,11 @@ val inject :
     promoted successor.  Counts into [Stats.requests_admitted] /
     [requests_completed] and the machine's per-processor ingress tally.
 
-    Must be called from inside the running program; a cross-shard
-    injection is subject to the multi-domain lookahead contract —
-    [ready_at] at least {!Olden_config.lookahead} cycles past the
-    injecting processor's clock.  [on_complete] runs inside the
-    injected fiber on the processor that finished it, receiving that
-    processor and its clock at completion. *)
+    Must be called from inside the running program, with [ready_at] no
+    earlier than the injecting processor's clock (virtual time never
+    runs backwards).  [on_complete] runs inside the injected fiber on
+    the processor that finished it, receiving that processor and its
+    clock at completion. *)
 
 type report = {
   makespan : int;  (** finishing time in cycles *)
@@ -89,17 +87,11 @@ type report = {
 
 val report : t -> report
 
-type domain_report = {
-  shards : int;  (** host-side scheduler shards ([cfg.host_domains]) *)
-  epochs : int;  (** epoch barriers taken (mailbox flushes) *)
-  deferred_events : int;
-      (** cross-shard events routed through the (src,dst) mailboxes *)
-}
-
-val domain_report : t -> domain_report
-(** Counters of the conservative parallel-DES sharding.  With one shard
-    nothing is ever deferred and both counters stay zero; results are
-    bit-identical for any shard count (see docs/PERFORMANCE.md). *)
+val scheduler_report : t -> Scheduler.report
+(** Host-side scheduler work, a deterministic count independent of the
+    host.  A step normally re-keys the executing processor and any push
+    target, so [rekeys] stays near [steps] plus [full_rekeys * nprocs]
+    (see docs/PERFORMANCE.md).  Not part of {!report} or any snapshot. *)
 
 val phase_snapshots : t -> (string * int * Stats.t) list
 (** Each phase mark with the statistics snapshot taken at it. *)

@@ -51,16 +51,13 @@ let push q ~ready_at ~seq payload =
     i := parent
   done
 
+(* The minimum item, without allocating: the caller tests [is_empty]
+   first and reads [ready_at]/[seq] off the item. *)
 let top q =
   if q.size = 0 then invalid_arg "Event_queue.top: empty queue";
   q.arr.(0)
-(* Alloc-free variant of [peek] for the scheduler's hot scan: the caller
-   tests [is_empty] first and reads [ready_at]/[seq] off the item. *)
 
-let peek q = if q.size = 0 then None else Some q.arr.(0)
-
-(* Remove and return the minimum item; raises on empty ([pop] wraps it in
-   an option for callers that prefer that). *)
+(* Remove and return the minimum item; raises on empty. *)
 let take q =
   if q.size = 0 then invalid_arg "Event_queue.take: empty queue";
   let top = q.arr.(0) in
@@ -88,5 +85,3 @@ let take q =
     done
   end;
   top
-
-let pop q = if q.size = 0 then None else Some (take q)

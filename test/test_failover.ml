@@ -90,28 +90,23 @@ let test_failstop_determinism () =
       check string (s.B.Common.name ^ ": failstop run-twice") first second)
     B.Registry.specs
 
-let test_failstop_domains_deterministic () =
-  (* the same death schedule must produce byte-identical snapshots for
-     any host-domain shard count: failovers rewrite queues and mailboxes
-     mid-run, and none of that may depend on the partition *)
+let test_failstop_rehome_deterministic () =
+  (* a second death schedule, run twice: failovers rewrite queues, work
+     lists and the scheduler's keys mid-run, and none of that may leak
+     host state into the result *)
   List.iter
     (fun (s : B.Common.spec) ->
       let scale = test_scale s in
       let faults = Config.Faults.failstop_mix ~seed:2 () in
-      let snap d =
+      let snap () =
         snd
           (snapshot s
              (Config.make ~nprocs:8 ~faults
-                ~replication:Config.default_replica ~host_domains:d ())
+                ~replication:Config.default_replica ())
              ~scale)
       in
-      let one = snap 1 in
-      check string (s.B.Common.name ^ ": domains=2 matches domains=1") one
-        (snap 2);
-      check string (s.B.Common.name ^ ": domains=4 matches domains=1") one
-        (snap 4);
-      check string (s.B.Common.name ^ ": domains=4 run-twice") (snap 4)
-        (snap 4))
+      check string (s.B.Common.name ^ ": failstop seed 2 run-twice") (snap ())
+        (snap ()))
     [ B.Treeadd.spec; B.Em3d.spec ]
 
 (* --- Chaos under deaths: invariants, checksum, heap ---------------------- *)
@@ -446,8 +441,8 @@ let suite =
       test_zero_prob_failstop_equivalent;
     Alcotest.test_case "same seed + death schedule => identical snapshots"
       `Quick test_failstop_determinism;
-    Alcotest.test_case "failstop snapshots identical across host domains"
-      `Quick test_failstop_domains_deterministic;
+    Alcotest.test_case "failstop re-homing run-twice byte-identical" `Quick
+      test_failstop_rehome_deterministic;
     Alcotest.test_case "failstop: treeadd clean under all schemes" `Quick
       (test_failstop_clean B.Treeadd.spec);
     Alcotest.test_case "failstop: em3d clean under all schemes" `Quick
