@@ -15,6 +15,7 @@ type t = {
   memory : Memory.t;
   tables : Translation.t array;
   directories : Directory.t array;
+  trace : Trace.switch; (* the creating domain's, guards every emit *)
 }
 
 let create cfg machine memory =
@@ -35,6 +36,7 @@ let create cfg machine memory =
           Directory.create ~home
             ~clock:(fun () -> Machine.now machine (Machine.home_of machine home))
             ~track_registrations:(cfg.C.faults <> None) ());
+    trace = Trace.switch ();
   }
 
 let table t proc = t.tables.(proc)
@@ -44,7 +46,7 @@ let coherence t = t.cfg.C.coherence
 let costs t = t.cfg.C.costs
 
 (* Stamp an event with [proc]'s clock and the engine-deposited thread /
-   site context.  Only ever called under a [Trace.is_on] guard. *)
+   site context.  Only ever called under a [Trace.on t.trace] guard. *)
 let emit t ~proc kind =
   Trace.emit
     { Trace.time = Machine.now t.machine proc; proc; tid = Trace.thread ();
@@ -79,7 +81,7 @@ let revalidate t ~proc (e : Translation.entry) =
   let s = stats t in
   s.Stats.revalidations <- s.Stats.revalidations + 1;
   s.Stats.lines_invalidated <- s.Stats.lines_invalidated + dropped;
-  if Trace.is_on () then
+  if Trace.on t.trace then
     emit t ~proc
       (Trace.Revalidate { home = e.home; page = e.page_index; dropped });
   e.ts <- ts;
@@ -109,7 +111,7 @@ let fetch_line t ~proc (e : Translation.entry) ~line =
       p.Directory.ever_shared <- true);
   let s = stats t in
   s.Stats.cache_misses <- s.Stats.cache_misses + 1;
-  if Trace.is_on () then
+  if Trace.on t.trace then
     emit t ~proc
       (Trace.Cache_miss { home = e.home; page = e.page_index; line })
 
@@ -134,7 +136,7 @@ let read t ~proc gptr ~field =
     let line = G.line_of_word addr in
     if Translation.line_valid e line then begin
       s.Stats.cache_hits <- s.Stats.cache_hits + 1;
-      if Trace.is_on () then
+      if Trace.on t.trace then
         emit t ~proc
           (Trace.Cache_hit { home; page = e.page_index; line })
     end
@@ -256,14 +258,14 @@ let on_migration_received t ~proc =
   | C.Local ->
       Machine.advance t.machine proc c.C.cache_flush;
       s.Stats.cache_flushes <- s.Stats.cache_flushes + 1;
-      if Trace.is_on () then
+      if Trace.on t.trace then
         emit t ~proc
           (Trace.Cache_flush
              { entries = Translation.entry_count t.tables.(proc) });
       Translation.flush t.tables.(proc)
   | C.Bilateral ->
       Machine.advance t.machine proc c.C.cache_flush;
-      if Trace.is_on () then emit t ~proc Trace.Suspect_all;
+      if Trace.on t.trace then emit t ~proc Trace.Suspect_all;
       Translation.mark_all_suspect t.tables.(proc)
   | C.Global -> ()
 
@@ -290,7 +292,7 @@ let on_migration_sent t ~proc ~(log : Write_log.t) =
                       ~service:c.C.invalidate_line);
                  s.Stats.invalidation_messages <-
                    s.Stats.invalidation_messages + 1;
-                 if Trace.is_on () then
+                 if Trace.on t.trace then
                    emit t ~proc
                      (Trace.Inval_send { target = sharer; page = page_index });
                  let e = Translation.probe t.tables.(sharer) gpage in
@@ -298,7 +300,7 @@ let on_migration_sent t ~proc ~(log : Write_log.t) =
                    let dropped = Translation.invalidate_lines e mask in
                    s.Stats.lines_invalidated <-
                      s.Stats.lines_invalidated + dropped;
-                   if Trace.is_on () then
+                   if Trace.on t.trace then
                      emit t ~proc:sharer
                        (Trace.Inval_recv
                           { source = proc; page = page_index; dropped })
@@ -321,7 +323,7 @@ let on_migration_sent t ~proc ~(log : Write_log.t) =
                  ~service:c.C.invalidate_line);
             s.Stats.invalidation_messages <-
               s.Stats.invalidation_messages + 1;
-            if Trace.is_on () then
+            if Trace.on t.trace then
               emit t ~proc (Trace.Inval_send { target = home; page = page_index })
           end;
           Directory.bump_timestamp t.directories.(home) ~page_index)
@@ -342,14 +344,14 @@ let on_return_received t ~proc ~(log : Write_log.t) =
         Machine.advance t.machine proc
           (c.C.invalidate_line * C.popcount written);
         s.Stats.lines_invalidated <- s.Stats.lines_invalidated + dropped;
-        if Trace.is_on () && written <> 0 then
+        if Trace.on t.trace && written <> 0 then
           emit t ~proc
             (Trace.Inval_recv { source = -1; page = -1; dropped })
       end
       else begin
         Machine.advance t.machine proc c.C.cache_flush;
         s.Stats.cache_flushes <- s.Stats.cache_flushes + 1;
-        if Trace.is_on () then
+        if Trace.on t.trace then
           emit t ~proc
             (Trace.Cache_flush
                { entries = Translation.entry_count t.tables.(proc) });
@@ -357,7 +359,7 @@ let on_return_received t ~proc ~(log : Write_log.t) =
       end
   | C.Bilateral ->
       Machine.advance t.machine proc c.C.cache_flush;
-      if Trace.is_on () then emit t ~proc Trace.Suspect_all;
+      if Trace.on t.trace then emit t ~proc Trace.Suspect_all;
       Translation.mark_all_suspect t.tables.(proc)
   | C.Global -> ()
 

@@ -20,6 +20,7 @@ type t = {
   pages : (int, page) Hashtbl.t; (* local page index -> record *)
   home : int; (* which processor's heap section this directory covers *)
   clock : unit -> int; (* the home's cycle clock, for event stamps *)
+  trace : Trace.switch; (* the creating domain's, guards every emit *)
   registered : (int * int, int) Hashtbl.t option;
       (* (page_index, proc) -> time of the latest sharer registration;
          kept only under a fault schedule, where the recovery checker
@@ -34,6 +35,7 @@ let create ?(home = -1) ?(clock = fun () -> 0) ?(track_registrations = false)
     pages = Hashtbl.create 64;
     home;
     clock;
+    trace = Trace.switch ();
     registered = (if track_registrations then Some (Hashtbl.create 64) else None);
   }
 
@@ -125,14 +127,14 @@ let is_shared t page_index =
 let record_write t ~page_index ~line =
   let p = get t page_index in
   p.line_ts.(line) <- p.ts + 1;
-  if Trace.is_on () then emit t (Trace.Dir_write { page = page_index; line })
+  if Trace.on t.trace then emit t (Trace.Dir_write { page = page_index; line })
 
 (* A release (outgoing migration) makes the logged writes visible:
    advance the page timestamp past all pending stamps. *)
 let bump_timestamp t ~page_index =
   let p = get t page_index in
   p.ts <- p.ts + 1;
-  if Trace.is_on () then
+  if Trace.on t.trace then
     emit t (Trace.Dir_release { page = page_index; ts = p.ts })
 
 (* Bilateral revalidation: given the sharer's last-validated timestamp,

@@ -22,7 +22,9 @@ val create :
     events (defaults: [-1] and a clock stuck at 0, fine for tests).
     [track_registrations] additionally records when each sharer was
     registered, which the recovery checker's sharer-epoch invariant
-    consumes (default off: it costs a hash write per registration). *)
+    consumes (default off: it costs a hash write per registration).
+    The calling domain's {!Olden_trace.Trace.switch} is captured here,
+    so a directory emits only on the domain that created it. *)
 
 val get : t -> int -> page
 (** The record for a local page index, created on demand. *)

@@ -430,14 +430,6 @@ let make ?(nprocs = 32) ?(costs = default_costs) ?(coherence = Local)
     replication;
   }
 
-(* The minimum delay any cross-processor event carries, in cycles: every
-   cross-processor wakeup, migration leg, return, retransmit, and
-   recovery message is scheduled at least one network traversal after the
-   clock that sends it, and fault perturbations only ever add delay.  The
-   serving driver opens its arrival epoch this far past the built heap's
-   clock. *)
-let lookahead t = t.costs.net_latency
-
 (* The sequential baseline is the same program compiled without Olden:
    one processor, no locality tests, no cache probes, no future machinery. *)
 let sequential_of t =

@@ -10,6 +10,7 @@
 
 module Trace = Olden_trace.Trace
 module Span = Olden_span.Span
+module Monitor = Olden_monitor.Monitor
 
 type t = {
   cfg : Olden_config.t;
@@ -36,6 +37,12 @@ type t = {
   ingress : int array;
       (* open-loop serving requests admitted at each processor; identity
          zero outside serving runs, so batch exports never see it *)
+  trace : Trace.switch;
+  span : Span.switch;
+  monitor : Monitor.switch;
+      (* the creating domain's observability switches: the fault-path
+         hooks and the RPC envelope guard on these, not on a
+         domain-local lookup per message *)
 }
 
 exception
@@ -67,6 +74,9 @@ let create cfg =
     intervals = [];
     record_intervals = false;
     ingress = Array.make n 0;
+    trace = Trace.switch ();
+    span = Span.switch ();
+    monitor = Monitor.switch ();
   }
 
 let set_record_intervals t flag = t.record_intervals <- flag
@@ -152,25 +162,25 @@ let stall t proc cycles =
 (* --- Fault bookkeeping helpers -------------------------------------- *)
 
 (* Trace events for faults reuse the emitter's thread/site context; every
-   call site guards on [Trace.is_on] via these helpers. *)
-let emit_fault ~proc ~time kind =
-  if Trace.is_on () then
+   call site guards on the trace switch via these helpers. *)
+let emit_fault t ~proc ~time kind =
+  if Trace.on t.trace then
     Trace.emit
       { Trace.time; proc; tid = Trace.thread (); site = Trace.site (); kind }
 
 let note_drop t ~dst ~time ~attempt ~outage =
   t.stats.Stats.msg_drops <- t.stats.Stats.msg_drops + 1;
   if outage then t.stats.Stats.outage_drops <- t.stats.Stats.outage_drops + 1;
-  emit_fault ~proc:dst ~time (Trace.Fault_drop { dst; attempt; outage });
-  if Span.is_on () then
+  emit_fault t ~proc:dst ~time (Trace.Fault_drop { dst; attempt; outage });
+  if Span.on t.span then
     Span.child ~kind:Span.Drop ~proc:dst ~t0:time ~t1:time ~a:attempt
       ~b:(if outage then 1 else 0)
 
 let note_delay t ~dst ~time ~cycles =
   if cycles > 0 then begin
     t.stats.Stats.msg_delays <- t.stats.Stats.msg_delays + 1;
-    emit_fault ~proc:dst ~time (Trace.Fault_delay { dst; cycles });
-    if Span.is_on () then
+    emit_fault t ~proc:dst ~time (Trace.Fault_delay { dst; cycles });
+    if Span.on t.span then
       Span.child ~kind:Span.Delay ~proc:dst ~t0:(time - cycles) ~t1:time
         ~a:cycles ~b:0
   end
@@ -186,8 +196,8 @@ let note_suppressed t ~dst ~time =
   t.stats.Stats.msg_duplicates <- t.stats.Stats.msg_duplicates + 1;
   t.stats.Stats.duplicates_suppressed <-
     t.stats.Stats.duplicates_suppressed + 1;
-  emit_fault ~proc:dst ~time (Trace.Fault_dup { dst });
-  if Span.is_on () then
+  emit_fault t ~proc:dst ~time (Trace.Fault_dup { dst });
+  if Span.on t.span then
     Span.child ~kind:Span.Dup ~proc:dst ~t0:time ~t1:time ~a:0 ~b:0
 
 let note_duplicate t ~dst ~time =
@@ -202,12 +212,11 @@ let note_retry t plan ~dst ~klass ~time ~attempt =
   let wait = Fault_plan.retry_wait plan ~attempt in
   t.stats.Stats.retries <- t.stats.Stats.retries + 1;
   t.stats.Stats.retry_cycles <- t.stats.Stats.retry_cycles + wait;
-  emit_fault ~proc:dst ~time (Trace.Retry { dst; attempt; wait });
-  if Span.is_on () then
+  emit_fault t ~proc:dst ~time (Trace.Retry { dst; attempt; wait });
+  if Span.on t.span then
     Span.child ~kind:Span.Backoff ~proc:dst ~t0:time ~t1:(time + wait)
       ~a:attempt ~b:wait;
-  if Olden_monitor.Monitor.is_on () then
-    Olden_monitor.Monitor.retry_wait ~cycles:wait;
+  if Monitor.on t.monitor then Monitor.retry_wait ~cycles:wait;
   wait
 
 (* Deliver one attempt into [dst]'s handler and return the service finish
@@ -311,7 +320,7 @@ let klass_code = function
 
 let request_reply ?(klass = Fault_plan.Data) t ~src ~dst ~service =
   let dst = resolve t dst in
-  if Span.is_on () then begin
+  if Span.on t.span then begin
     (* one Rpc envelope span per logical round trip; the fault events
        the legs emit (drop/backoff/delay/dup) nest under it *)
     let t0 = t.clock.(src) in

@@ -36,6 +36,7 @@ type window = {
 }
 
 type t = {
+  span : Span.switch; (* gates exemplar capture in [deref_m] *)
   interval : int;
   nprocs : int;
   probe : probe;
@@ -74,6 +75,7 @@ let create ~interval ~nprocs ~probe =
   if interval < 1 then invalid_arg "Monitor.create: interval < 1";
   let lat = Metrics.create () in
   {
+    span = Span.switch ();
     interval;
     nprocs;
     probe;
@@ -163,21 +165,30 @@ let windows t = List.rev t.rev_windows
 (* --- The domain-wide sink --------------------------------------------- *)
 
 (* One installed monitor per domain: runs on different domains of the
-   parallel sweep driver sample independently. *)
+   parallel sweep driver sample independently.  The ref is assigned in
+   place and never replaced, so a [switch] captured before [install]
+   sees the monitor. *)
 let active_key : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let active () = Domain.DLS.get active_key
 
+type switch = t option ref
+
+let switch = active
+let on (a : switch) = match !a with Some _ -> true | None -> false
+let is_on () = on (active ())
+
 let install m =
   let a = active () in
+  if m.span != Span.switch () then
+    invalid_arg "Monitor.install: monitor was created on a different domain";
   (match !a with
   | Some _ -> invalid_arg "Monitor.install: a monitor is already installed"
   | None -> ());
   a := Some m
 
 let uninstall () = active () := None
-let is_on () = match !(active ()) with Some _ -> true | None -> false
 
 (* Keep the worst [exemplar_slots] episodes per mechanism: append while
    there is room, otherwise displace the (first) smallest held exemplar
@@ -210,7 +221,7 @@ let note_exemplar t ~mech ~cycles =
 
 let deref_m t ~sid ~mech ~cycles =
   Metrics.observe t.deref_h.(mech_index mech) cycles;
-  if Span.is_on () then note_exemplar t ~mech ~cycles;
+  if Span.on t.span then note_exemplar t ~mech ~cycles;
   if sid >= 0 then begin
     let key = (sid * 4) + mech_index mech in
     let h =

@@ -21,14 +21,16 @@
        p50/p90/p99/p999 quantiles, aggregated per mechanism and per
        dereference site.}}
 
-    Like {!Trace}, the monitor is a single process-wide sink and is
-    zero-cost when off: instrumentation sites are written
+    Like {!Trace}, the monitor is a single per-domain sink and is
+    zero-cost when off: the engine and machine layers capture the
+    domain's {!switch} when they are created, and instrumentation sites
+    are written
 
-    {[ if Monitor.is_on () then Monitor.deref ~sid ~mech ~cycles ]}
+    {[ if Monitor.on t.monitor then Monitor.deref ~sid ~mech ~cycles ]}
 
-    so with no monitor installed only one word is read.  The monitor
-    only {e reads} simulated clocks — it never advances them — so
-    monitored runs are cycle-identical to unmonitored ones, and the
+    so with no monitor installed only an already-held ref is read.  The
+    monitor only {e reads} simulated clocks — it never advances them —
+    so monitored runs are cycle-identical to unmonitored ones, and the
     output is a pure function of (program, config, seed): same seed,
     byte-identical JSONL.  Schema reference: docs/OBSERVABILITY.md. *)
 
@@ -68,16 +70,32 @@ val create : interval:int -> nprocs:int -> probe:probe -> t
 val interval : t -> int
 val nprocs : t -> int
 
-(** {2 The process-wide sink} *)
+(** {2 The per-domain sink} *)
 
 val install : t -> unit
-(** @raise Invalid_argument if a monitor is already installed. *)
+(** @raise Invalid_argument if a monitor is already installed, or if
+    this one was created on another domain. *)
 
 val uninstall : unit -> unit
 
-val is_on : unit -> bool
-(** Instrumentation sites must guard on this so the disabled path
+type switch
+(** The calling domain's monitor slot, as a handle that can be tested
+    without a domain-local lookup. *)
+
+val switch : unit -> switch
+(** The calling domain's switch.  {!install} and {!uninstall} assign
+    this same slot, so a switch captured before [install] still sees the
+    monitor.  Capture it once, where the instrumented layer is created,
+    and use it only on that domain. *)
+
+val on : switch -> bool
+(** Whether a monitor is installed: one dereference of the held slot.
+    Hot instrumentation sites guard on this so the disabled path
     allocates nothing. *)
+
+val is_on : unit -> bool
+(** [on (switch ())]: one [Domain.DLS.get] more, for cold callers that
+    hold no switch. *)
 
 (** {2 Instrumentation hooks} (no-ops when no monitor is installed)
 

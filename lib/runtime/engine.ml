@@ -61,6 +61,12 @@ type t = {
       (* (processor, label) per parked waiter — deadlock diagnostics *)
   mutable phases : phase_mark list; (* newest first *)
   mutable finished : bool;
+  trace : Trace.switch;
+  span : Span.switch;
+  monitor : Monitor.switch;
+      (* the creating domain's observability switches, captured once so
+         a hot guard is a field read rather than a [Domain.DLS.get];
+         sinks installed after [create] still show through them *)
 }
 
 let create cfg =
@@ -97,6 +103,9 @@ let create cfg =
     parked = [];
     phases = [];
     finished = false;
+    trace = Trace.switch ();
+    span = Span.switch ();
+    monitor = Monitor.switch ();
   }
 
 let memory t = t.memory
@@ -141,7 +150,8 @@ let trace t msg =
       t.cur_thread.tid (msg ())
 
 (* Structured event emission (Olden_trace).  Every call site is guarded
-   on [Trace.is_on] so nothing is allocated when no sink is installed. *)
+   on [Trace.on t.trace] so nothing is allocated when no sink is
+   installed. *)
 let emit t ?(site = -1) kind =
   Trace.emit
     { Trace.time = now t; proc = t.cur_proc; tid = t.cur_thread.tid; site;
@@ -186,7 +196,7 @@ let resolve t (cell : fut) v =
         trace t (fun () ->
             Printf.sprintf "resolve fut#%d (%d waiter(s))" cell.fid
               (List.length waiters));
-      if Trace.is_on () then
+      if Trace.on t.trace then
         emit t
           (Trace.Future_resolve
              { fid = cell.fid; waiters = List.length waiters });
@@ -257,7 +267,7 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
   (* an outgoing migration is a release point *)
   Cache.on_migration_sent t.cache ~proc:t.cur_proc ~log:thread.log;
   advance t c.C.migrate_send;
-  if Trace.is_on () then emit t ~site (Trace.Migrate_send { target });
+  if Trace.on t.trace then emit t ~site (Trace.Migrate_send { target });
   Machine.count_bytes t.machine 256 (* registers + PC + frame *);
   let send_done = now t in
   let ready_at = send_done + c.C.net_latency + penalty in
@@ -267,7 +277,7 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
      send [ep0, send_done], wire, penalty, queue, replay, recv, service —
      so their durations sum exactly to the episode latency. *)
   let sctx =
-    if Span.is_on () then begin
+    if Span.on t.span then begin
       Span.child ~kind:Span.Send ~proc:source ~t0:ep0 ~t1:send_done ~a:target
         ~b:0;
       Span.child ~kind:Span.Wire ~proc:source ~t0:send_done
@@ -288,7 +298,7 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
              the state was in flight, this event was re-homed and now
              runs on the promoted successor's clock *)
           let target = t.cur_proc in
-          let span_on = Span.is_on () in
+          let span_on = Span.on t.span in
           let t_arr = Machine.now t.machine target in
           if span_on then begin
             Span.restore sctx;
@@ -305,7 +315,7 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
             Span.child ~kind:Span.Replay ~proc:target ~t0:t_arr ~t1:t_rc ~a:0
               ~b:0;
           Machine.advance t.machine target c.C.migrate_recv;
-          if Trace.is_on () then
+          if Trace.on t.trace then
             Trace.emit
               { Trace.time = Machine.now t.machine target; proc = target;
                 tid = thread.tid; site;
@@ -320,7 +330,7 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
           if span_on then
             Span.child ~kind:Span.Recv ~proc:target ~t0:t_rc ~t1:t_recv ~a:0
               ~b:0;
-          if Monitor.is_on () then
+          if Monitor.on t.monitor then
             (* episode entry ([ep0]) to restart here: the migration leg *)
             Monitor.migration
               ~cycles:(Machine.now t.machine target - ep0);
@@ -328,7 +338,7 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
           if span_on then
             Span.child ~kind:Span.Service ~proc:target ~t0:t_recv
               ~t1:(Machine.now t.machine target) ~a:0 ~b:0;
-          if Monitor.is_on () then
+          if Monitor.on t.monitor then
             (* entry to completion of the interrupted dereference *)
             Monitor.deref ~sid:site ~mech:Monitor.Migrate
               ~cycles:(Machine.now t.machine target - ep0);
@@ -359,7 +369,7 @@ let immediate_alloc t ~proc words =
   else begin
     (stats t).Stats.remote_allocs <- (stats t).Stats.remote_allocs + 1;
     advance t (c.C.alloc_local + c.C.alloc_service);
-    if Trace.is_on () then emit t (Trace.Remote_alloc { home = proc; words })
+    if Trace.on t.trace then emit t (Trace.Remote_alloc { home = proc; words })
   end;
   Memory.alloc t.memory ~proc words
 
@@ -370,7 +380,7 @@ let cached_load t (site : Site.t) g field =
   site.Site.loads <- site.Site.loads + 1;
   if Gptr.proc g <> t.cur_proc then
     site.Site.remote <- site.Site.remote + 1;
-  if Trace.is_on () then begin
+  if Trace.on t.trace then begin
     Trace.set_thread t.cur_thread.tid;
     Trace.set_site site.Site.sid
   end;
@@ -386,7 +396,7 @@ let cached_store t (site : Site.t) g field v =
   site.Site.stores <- site.Site.stores + 1;
   if Gptr.proc g <> t.cur_proc then
     site.Site.remote <- site.Site.remote + 1;
-  if Trace.is_on () then begin
+  if Trace.on t.trace then begin
     Trace.set_thread t.cur_thread.tid;
     Trace.set_site site.Site.sid
   end;
@@ -496,8 +506,8 @@ let mech_code = function
    read the trace id of the episode they record. *)
 
 let immediate_load t (site : Site.t) g field =
-  let mon = Monitor.is_on () in
-  let sp = Span.is_on () in
+  let mon = Monitor.on t.monitor in
+  let sp = Span.on t.span in
   if not (mon || sp) then immediate_load_u t site g field
   else begin
     let ep0 = now t in
@@ -513,8 +523,8 @@ let immediate_load t (site : Site.t) g field =
   end
 
 let immediate_store t (site : Site.t) g field v =
-  let mon = Monitor.is_on () in
-  let sp = Span.is_on () in
+  let mon = Monitor.on t.monitor in
+  let sp = Span.on t.span in
   if not (mon || sp) then immediate_store_u t site g field v
   else begin
     let ep0 = now t in
@@ -535,7 +545,7 @@ let immediate_touch t (cell : fut) =
       let s = stats t in
       s.Stats.touches <- s.Stats.touches + 1;
       advance t c.C.future_touch;
-      if Trace.is_on () then
+      if Trace.on t.trace then
         emit t (Trace.Future_touch { fid = cell.fid; parked = false });
       acquire_result t ~proc:t.cur_proc ~toucher:t.cur_thread cell;
       v
@@ -554,21 +564,23 @@ let current_key : t option ref Domain.DLS.key =
 
 let current () = Domain.DLS.get current_key
 
-let engine () =
+let running () =
   match !(current ()) with Some t -> t | None -> raise_notrace Must_perform
 
-let fast_work n = immediate_work (engine ()) n
+let seat t = t.cur_thread.seat
+
+let fast_work n = immediate_work (running ()) n
 (* SELF is the thread's virtual seat, not the physical processor: after a
    failover collapses a hop onto a promoted successor the program must
    still see itself "at" the original owner, so seat-relative allocation
    and [Ops.call]'s return stub behave exactly as on the healthy
    machine.  Identity while no processor has died. *)
-let fast_self () = (engine ()).cur_thread.seat
-let fast_nprocs () = (engine ()).cfg.C.nprocs
-let fast_alloc ~proc words = immediate_alloc (engine ()) ~proc words
-let fast_load site g field = immediate_load (engine ()) site g field
-let fast_store site g field v = immediate_store (engine ()) site g field v
-let fast_touch cell = immediate_touch (engine ()) cell
+let fast_self () = seat (running ())
+let fast_nprocs () = (running ()).cfg.C.nprocs
+let fast_alloc ~proc words = immediate_alloc (running ()) ~proc words
+let fast_load site g field = immediate_load (running ()) site g field
+let fast_store site g field v = immediate_store (running ()) site g field v
+let fast_touch cell = immediate_touch (running ()) cell
 
 (* Decide the fate of a migration's thread-state transfer before the fiber
    is captured.  [Some penalty]: the state will arrive, [penalty] cycles
@@ -591,9 +603,9 @@ let try_migrate t ~(site : Site.t) ~home =
       s.Stats.migration_fallbacks <- s.Stats.migration_fallbacks + 1;
       site.Site.fallbacks <- site.Site.fallbacks + 1;
       Machine.stall t.machine t.cur_proc penalty;
-      if Trace.is_on () then
+      if Trace.on t.trace then
         emit t ~site:site.Site.sid (Trace.Migrate_fallback { home; attempts });
-      if Span.is_on () then begin
+      if Span.on t.span then begin
         Span.child ~kind:Span.Stall ~proc:t.cur_proc ~t0:(now t - penalty)
           ~t1:(now t) ~a:penalty ~b:attempts;
         Span.child ~kind:Span.Fallback ~proc:t.cur_proc ~t0:(now t)
@@ -617,7 +629,9 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
     | Load (site, g, field) ->
         Some
           (fun k ->
-            let ep0 = if Monitor.is_on () || Span.is_on () then now t else 0 in
+            let ep0 =
+              if Monitor.on t.monitor || Span.on t.span then now t else 0
+            in
             match immediate_load t site g field with
             | v -> Effect.Deep.continue k v
             | exception Must_perform -> (
@@ -625,7 +639,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                    captured *)
                 let c = costs t in
                 let home = Gptr.proc g in
-                if Span.is_on () && not (Span.root_open ()) then
+                if Span.on t.span && not (Span.root_open ()) then
                   Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
                 advance t c.C.pointer_test;
                 match try_migrate t ~site ~home with
@@ -643,7 +657,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                           (Machine.home_of t.machine home) c.C.local_ref;
                         Memory.load t.memory g field)
                 | None ->
-                    let sp = Span.is_on () in
+                    let sp = Span.on t.span in
                     let prev = if sp then Span.parent () else -1 in
                     let cid = if sp then Span.enter () else -1 in
                     let cs0 = now t in
@@ -651,7 +665,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                     if sp then
                       Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
                         ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-                    if Monitor.is_on () then
+                    if Monitor.on t.monitor then
                       Monitor.deref ~sid:site.Site.sid
                         ~mech:Monitor.Fallback ~cycles:(now t - ep0);
                     if sp then
@@ -661,13 +675,15 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
     | Store (site, g, field, v) ->
         Some
           (fun k ->
-            let ep0 = if Monitor.is_on () || Span.is_on () then now t else 0 in
+            let ep0 =
+              if Monitor.on t.monitor || Span.on t.span then now t else 0
+            in
             match immediate_store t site g field v with
             | () -> Effect.Deep.continue k ()
             | exception Must_perform -> (
                 let c = costs t in
                 let home = Gptr.proc g in
-                if Span.is_on () && not (Span.root_open ()) then
+                if Span.on t.span && not (Span.root_open ()) then
                   Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
                 advance t c.C.pointer_test;
                 match try_migrate t ~site ~home with
@@ -685,7 +701,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                         Cache.note_migrate_write t.cache ~proc:h g ~field v
                           ~log:t.cur_thread.log)
                 | None ->
-                    let sp = Span.is_on () in
+                    let sp = Span.on t.span in
                     let prev = if sp then Span.parent () else -1 in
                     let cid = if sp then Span.enter () else -1 in
                     let cs0 = now t in
@@ -693,7 +709,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                     if sp then
                       Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
                         ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-                    if Monitor.is_on () then
+                    if Monitor.on t.monitor then
                       Monitor.deref ~sid:site.Site.sid
                         ~mech:Monitor.Fallback ~cycles:(now t - ep0);
                     if sp then
@@ -720,7 +736,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
             if t.cfg.C.trace then
               trace t (fun () ->
                   Printf.sprintf "future fut#%d spawned" cell.fid);
-            if Trace.is_on () then
+            if Trace.on t.trace then
               emit t (Trace.Future_spawn { fid = cell.fid });
             (* Save the return continuation on this processor's work list.
                If it is stolen it becomes a new thread (with a fresh write
@@ -756,7 +772,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                     if t.cfg.C.trace then
                       trace t (fun () ->
                           Printf.sprintf "touch fut#%d: park" cell.fid);
-                    if Trace.is_on () then
+                    if Trace.on t.trace then
                       emit t
                         (Trace.Future_touch { fid = cell.fid; parked = true });
                     let label =
@@ -794,8 +810,8 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
             else begin
               let c = costs t in
               let s = stats t in
-              let sp = Span.is_on () in
-              let ep0 = if Monitor.is_on () || sp then now t else 0 in
+              let sp = Span.on t.span in
+              let ep0 = if Monitor.on t.monitor || sp then now t else 0 in
               s.Stats.returns <- s.Stats.returns + 1;
               let thread = t.cur_thread in
               let source = t.cur_proc in
@@ -808,7 +824,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
               Cache.on_migration_sent t.cache ~proc:t.cur_proc
                 ~log:thread.log;
               advance t c.C.return_send;
-              if Trace.is_on () then emit t (Trace.Return_send { target });
+              if Trace.on t.trace then emit t (Trace.Return_send { target });
               Machine.count_bytes t.machine 64 (* registers + return addr *);
               (* a return stub must reach its origin: retry without an
                  attempt bound (only [max_attempts] backstops it) *)
@@ -846,7 +862,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                          while the stub was in flight the event was
                          re-homed and runs on the successor's clock *)
                       let target = t.cur_proc in
-                      let span_on = Span.is_on () in
+                      let span_on = Span.on t.span in
                       let t_arr = Machine.now t.machine target in
                       if span_on then begin
                         Span.restore sctx;
@@ -860,7 +876,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                         Span.child ~kind:Span.Replay ~proc:target ~t0:t_arr
                           ~t1:t_rc ~a:0 ~b:0;
                       Machine.advance t.machine target c.C.return_recv;
-                      if Trace.is_on () then
+                      if Trace.on t.trace then
                         Trace.emit
                           { Trace.time = Machine.now t.machine target;
                             proc = target; tid = thread.tid; site = -1;
@@ -873,7 +889,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                       if span_on then
                         Span.child ~kind:Span.Recv ~proc:target ~t0:t_rc
                           ~t1:(Machine.now t.machine target) ~a:0 ~b:0;
-                      if Monitor.is_on () then
+                      if Monitor.on t.monitor then
                         Monitor.return_stub
                           ~cycles:(Machine.now t.machine target - ep0);
                       if span_on then
@@ -897,7 +913,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
             t.phases <-
               { pname = name; at = m; snapshot = Stats.copy (stats t) }
               :: t.phases;
-            if Trace.is_on () then
+            if Trace.on t.trace then
               Trace.emit
                 { Trace.time = m; proc = t.cur_proc;
                   tid = t.cur_thread.tid; site = -1;
@@ -988,7 +1004,7 @@ let step t =
     | _ ->
     (* [best_start] is the global virtual time: it never decreases across
        steps, so it drives the monitor's interval windows *)
-    if Monitor.is_on () then Monitor.tick best_start;
+    if Monitor.on t.monitor then Monitor.tick best_start;
     Machine.wait_until t.machine proc best_start;
     let steal = Scheduler.source t.sched proc = Scheduler.Work in
     let task = Scheduler.take t.sched proc in
@@ -999,18 +1015,18 @@ let step t =
       let s = stats t in
       s.Stats.steals <- s.Stats.steals + 1;
       Machine.advance t.machine proc (costs t).C.steal;
-      if Trace.is_on () then
+      if Trace.on t.trace then
         Trace.emit
           { Trace.time = Machine.now t.machine proc; proc;
             tid = task.thread.tid; site = -1; kind = Trace.Steal }
     end;
     t.cur_proc <- proc;
     t.cur_thread <- task.thread;
-    if Trace.is_on () then Trace.set_thread task.thread.tid;
+    if Trace.on t.trace then Trace.set_thread task.thread.tid;
     (* a task must not inherit the ambient span context of whatever ran
        last: cross-task context travels only inside scheduled closures
        (via [Span.save]/[restore]), which re-install it themselves *)
-    if Span.is_on () then Span.clear ();
+    if Span.on t.span then Span.clear ();
     task.go ();
     true
   end
@@ -1075,7 +1091,7 @@ let deadlock_message t =
   let parked_procs =
     List.sort_uniq compare (List.map (fun (p, _) -> p) parked)
   in
-  if Span.is_on () && parked_procs <> [] then begin
+  if Span.on t.span && parked_procs <> [] then begin
     Buffer.add_string buf "; last span per parked proc: ";
     Buffer.add_string buf
       (String.concat " "
@@ -1090,6 +1106,13 @@ let deadlock_message t =
 
 (* Run [program] to completion as the initial thread on processor 0. *)
 let exec t program =
+  (* the captured switches are the creating domain's: run anywhere else
+     and every guard would read another domain's sinks *)
+  if
+    t.trace != Trace.switch () || t.span != Span.switch ()
+    || t.monitor != Monitor.switch ()
+  then
+    invalid_arg "Engine.exec: engine was created on a different domain";
   (* clear the ambient emitter context so events fired before the first
      dereference don't inherit a stale thread/site from a previous run;
      span ids and per-proc sequences restart so same-seed runs export
@@ -1129,12 +1152,16 @@ let exec t program =
    exactly like work the program spawned itself.
 
    Called from inside the running program (the serving driver injects
-   the whole arrival schedule from its main thread).  [ready_at] must not
-   precede the injecting processor's clock, so virtual time never runs
-   backwards.  [on_complete] runs inside the request's fiber on the
-   processor that finished it, with that processor's clock — the serving
-   driver measures admission→completion latency from it. *)
+   the whole arrival schedule from its main thread).  A [ready_at] that
+   precedes the injecting processor's clock is rejected, so virtual time
+   never runs backwards.  [on_complete] runs inside the request's fiber
+   on the processor that finished it, with that processor's clock — the
+   serving driver measures admission→completion latency from it. *)
 let inject t ~proc ~ready_at ?on_complete fn =
+  if ready_at < now t then
+    invalid_arg
+      (Printf.sprintf "Engine.inject: ready_at %d precedes p%d's clock %d"
+         ready_at t.cur_proc (now t));
   (* an ingress processor that has fail-stopped redirects to its
      promoted successor, like every other send (identity on a healthy
      machine) *)

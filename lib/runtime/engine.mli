@@ -32,6 +32,11 @@ exception Threads_lost of string
 type t
 
 val create : Olden_config.t -> t
+(** A fresh engine.  It captures the calling domain's trace, span and
+    monitor switches ({!Olden_trace.Trace.switch} and friends), so its
+    hot-path guards are field reads; sinks installed on this domain
+    after [create] are still seen.  The engine belongs to this domain:
+    see {!exec}. *)
 
 val memory : t -> Memory.t
 (** The distributed heap — direct access for post-run verification (reads
@@ -54,7 +59,10 @@ val config : t -> Olden_config.t
 
 val exec : t -> (unit -> unit) -> unit
 (** Run a program to completion as the initial thread on processor 0.
-    Exceptions raised by the program propagate. *)
+    Exceptions raised by the program propagate.
+    @raise Invalid_argument if called on a domain other than the one
+    that created the engine (its captured observability switches would
+    belong to another domain). *)
 
 val inject :
   t ->
@@ -71,11 +79,11 @@ val inject :
     promoted successor.  Counts into [Stats.requests_admitted] /
     [requests_completed] and the machine's per-processor ingress tally.
 
-    Must be called from inside the running program, with [ready_at] no
-    earlier than the injecting processor's clock (virtual time never
-    runs backwards).  [on_complete] runs inside the injected fiber on
-    the processor that finished it, receiving that processor and its
-    clock at completion. *)
+    Must be called from inside the running program.  [on_complete] runs
+    inside the injected fiber on the processor that finished it,
+    receiving that processor and its clock at completion.
+    @raise Invalid_argument if [ready_at] is earlier than the injecting
+    processor's clock (virtual time never runs backwards). *)
 
 type report = {
   makespan : int;  (** finishing time in cycles *)
@@ -123,6 +131,15 @@ val run : Olden_config.t -> (unit -> unit) -> report
     identical on either path. *)
 
 exception Must_perform
+
+val running : unit -> t
+(** The engine driving the calling fiber: one domain-local read.
+    @raise Must_perform when no engine is running on this domain. *)
+
+val seat : t -> int
+(** The current thread's virtual seat — what [Ops.self] returns.  Lets
+    {!Ops.call} read SELF before and after the callee from one
+    {!running} lookup. *)
 
 val fast_work : int -> unit
 val fast_self : unit -> int

@@ -57,12 +57,21 @@ let touch ?site fut =
 
 (* A procedure-call boundary: Olden's return stub.  If the callee migrated,
    the thread returns to the caller's processor when the call completes;
-   if it never migrated, the stub costs nothing. *)
+   if it never migrated, the stub costs nothing.  The engine is looked up
+   once: the fiber that resumes after [f] runs under the same engine. *)
 let call f =
-  let origin = self () in
-  let result = f () in
-  if self () <> origin then Effect.perform (Effects.Return_to origin);
-  result
+  match Engine.running () with
+  | e ->
+      let origin = Engine.seat e in
+      let result = f () in
+      if Engine.seat e <> origin then Effect.perform (Effects.Return_to origin);
+      result
+  | exception Engine.Must_perform ->
+      let origin = Effect.perform Effects.Self in
+      let result = f () in
+      if Effect.perform Effects.Self <> origin then
+        Effect.perform (Effects.Return_to origin);
+      result
 
 (* Measurement boundary: synchronize all processors and mark the time;
    used to separate structure building from the measured kernel. *)

@@ -20,12 +20,15 @@
      (fault decisions, retries, RPC envelopes) that explain *why* the
      hops took as long as they did.
 
-   Like {!Trace}, emission must cost nothing when off: every site is
-   guarded by [is_on ()], one boolean load.  The sink has two consumers
-   with different cost budgets: the collector (allocates one record per
-   span, only for export/tests) and the flight recorder ({!Flight}, a
-   fixed int ring that is allocation-free and can stay on for whole
-   chaos runs).  [on] is true when either is active. *)
+   Like {!Trace}, emission must cost nothing when off: the engine and
+   machine layers capture the domain's {!switch} when they are created,
+   and every hot site is guarded by [on sw], one field read of a record
+   they already hold ([is_on ()] adds a [Domain.DLS.get], for cold
+   callers).  The sink has two consumers with different cost budgets:
+   the collector (allocates one record per span, only for export/tests)
+   and the flight recorder ({!Flight}, a fixed int ring that is
+   allocation-free and can stay on for whole chaos runs).  [on] is true
+   when either is active. *)
 
 module Json = Olden_trace.Json
 
@@ -148,8 +151,10 @@ let is_root = function Deref | Return | Request -> true | _ -> false
    the per-processor sequence/last-span arrays — lives in one record
    behind a domain-local key: engines running on different domains (the
    parallel sweep driver) keep fully independent span streams, and
-   [Span.reset] per run keeps each stream's ids deterministic.  Hot hooks
-   pay one [Domain.DLS.get] and field loads. *)
+   [Span.reset] per run keeps each stream's ids deterministic.  The
+   record is mutated in place and never replaced, so a [switch] captured
+   before [install] or [flight_enable] sees them; the emission functions
+   themselves (only reached when on) still look the record up. *)
 
 let max_procs = 1024
 
@@ -193,6 +198,10 @@ let refresh_on () =
   let g = state () in
   g.on <- g.collector_on || Flight.is_enabled ()
 
+type switch = state
+
+let switch = state
+let on (g : switch) = g.on
 let is_on () = (state ()).on
 
 let install sink =

@@ -50,9 +50,24 @@ val is_root : kind -> bool
 
 (** {1 Sink} *)
 
+type switch
+(** The calling domain's span state, as a handle that can be tested
+    without a domain-local lookup. *)
+
+val switch : unit -> switch
+(** The calling domain's switch.  {!install}, {!uninstall},
+    {!flight_enable} and {!flight_disable} update this same record, so
+    a switch captured before them still sees them.  Capture it once,
+    where the instrumented layer is created, and use it only on that
+    domain. *)
+
+val on : switch -> bool
+(** True when the collector or the flight recorder is active: one field
+    read, the guard every hot instrumentation site uses. *)
+
 val is_on : unit -> bool
-(** True when the collector or the flight recorder is active — the one
-    word read every instrumentation site is guarded by. *)
+(** [on (switch ())]: one [Domain.DLS.get] plus a field read, for cold
+    callers that hold no switch. *)
 
 val install : (span -> unit) -> unit
 val uninstall : unit -> unit
@@ -77,7 +92,7 @@ val flight_dump : reason:string -> state:string list -> string option
 
     The emitting side keeps the episode in flight as mutable context:
     the trace id, the current parent span id, and the open root.  All
-    writes are guarded by {!is_on} at the call sites. *)
+    writes are guarded by {!on} (or {!is_on}) at the call sites. *)
 
 type saved
 (** Snapshot of the ambient context, captured into scheduled-event

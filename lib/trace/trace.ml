@@ -1,13 +1,15 @@
 (* Structured event tracing for the Olden runtime.
 
    The engine, the cache system, and the coherence directories emit
-   events into a single process-wide sink.  Tracing must cost nothing
-   when it is off: every emission site is written
+   events into a single per-domain sink.  Tracing must cost nothing
+   when it is off: each of those layers captures the domain's {!switch}
+   once, when it is created, and every emission site is written
 
-     if Trace.is_on () then Trace.emit { ... }
+     if Trace.on t.trace then Trace.emit { ... }
 
-   so with no sink installed the only work done is one boolean load —
-   no event record is ever allocated.  [emit] itself re-checks the sink
+   so with no sink installed the only work done is one field read of a
+   record the layer already holds — no event record is ever allocated
+   and no domain-local lookup is made.  [emit] itself re-checks the sink
    so a stray unguarded call is still safe.
 
    Events are stamped with simulated time, processor, thread id, and
@@ -60,8 +62,10 @@ type event = {
 (* All emitter state — the installed sink and the ambient thread/site
    context — lives in one record behind a domain-local key, so engines
    running on different domains (the parallel sweep driver) trace
-   independently.  One [Domain.DLS.get] per hook keeps the off path at a
-   couple of loads. *)
+   independently.  [install] and [uninstall] mutate that record in place
+   and nothing ever replaces it, so a record captured with [switch] sees
+   every later install on its domain; the hot layers guard on a captured
+   record and pay one field read, not a [Domain.DLS.get]. *)
 type emitter = {
   mutable on : bool;
   mutable sink : event -> unit;
@@ -75,6 +79,10 @@ let emitter_key =
 
 let emitter () = Domain.DLS.get emitter_key
 
+type switch = emitter
+
+let switch = emitter
+let on (e : switch) = e.on
 let is_on () = (emitter ()).on
 
 let install sink =

@@ -1,15 +1,16 @@
 (** Structured event tracing for the Olden runtime.
 
-    A single process-wide sink receives every event the engine, cache
+    A single per-domain sink receives every event the engine, cache
     system, and coherence directories emit.  Tracing is zero-cost when
-    disabled: emission sites are written
+    disabled: each of those layers captures the domain's {!switch} when
+    it is created, and emission sites are written
 
-    {[ if Trace.is_on () then Trace.emit { ... } ]}
+    {[ if Trace.on t.trace then Trace.emit { ... } ]}
 
-    so with no sink installed nothing is allocated — only one boolean is
-    read.  Event streams are deterministic: the engine is a pure
-    function of the program and configuration, and events are emitted in
-    scheduling order. *)
+    so with no sink installed nothing is allocated — only one field of
+    an already-held record is read.  Event streams are deterministic:
+    the engine is a pure function of the program and configuration, and
+    events are emitted in scheduling order. *)
 
 type kind =
   | Migrate_send of { target : int }
@@ -65,9 +66,23 @@ type event = {
   kind : kind;
 }
 
+type switch
+(** The calling domain's emitter, as a handle that can be tested
+    without a domain-local lookup. *)
+
+val switch : unit -> switch
+(** The calling domain's switch.  It is the same record {!install} and
+    {!uninstall} update, so a switch captured before a sink is installed
+    still sees it.  Capture it once, where the emitting layer is
+    created, and use it only on that domain. *)
+
+val on : switch -> bool
+(** Whether a sink is installed: one field read.  Hot emission sites
+    guard on this so the disabled path allocates nothing. *)
+
 val is_on : unit -> bool
-(** Whether a sink is installed.  Emission sites must guard on this so
-    the disabled path allocates nothing. *)
+(** [on (switch ())]: one [Domain.DLS.get] plus a field read, for cold
+    callers that hold no switch. *)
 
 val install : (event -> unit) -> unit
 val uninstall : unit -> unit

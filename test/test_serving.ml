@@ -1,9 +1,10 @@
 (* Open-system serving: the seeded arrival process is a pure function of
    (seed, stream, index), the mix grammar round-trips and rejects junk,
-   serving snapshots are byte-identical run-twice, across host domain
-   counts, and under fault schedules, the CLI's serve knobs follow the
-   exit-2 usage-error discipline, and request-class labels with CSV
-   metacharacters survive the RFC 4180 quoting in the latency export. *)
+   serving snapshots are byte-identical run-twice and under fault
+   schedules, [Engine.inject] refuses an admission time in the injecting
+   processor's past, the CLI's serve knobs follow the exit-2 usage-error
+   discipline, and request-class labels with CSV metacharacters survive
+   the RFC 4180 quoting in the latency export. *)
 
 open Olden
 module Serving = Olden.Serving
@@ -309,6 +310,31 @@ let test_csv_quoting () =
   | exception Json.Parse_error e ->
       Alcotest.failf "latency_json unparseable: %s" e
 
+(* --- Injection never runs virtual time backwards -------------------------- *)
+
+let test_inject_rejects_past () =
+  let e = Engine.create (Config.make ~nprocs:2 ()) in
+  let ran = ref 0 in
+  let rejected = ref None in
+  Engine.exec e (fun () ->
+      Ops.work 1_000;
+      let now = Machine.now (Engine.machine e) 0 in
+      (match
+         Engine.inject e ~proc:1 ~ready_at:(now - 1) (fun () -> incr ran)
+       with
+      | () -> ()
+      | exception Invalid_argument msg -> rejected := Some msg);
+      (* admitting at the injecting clock itself is allowed *)
+      Engine.inject e ~proc:1 ~ready_at:now (fun () -> incr ran));
+  (match !rejected with
+  | None -> Alcotest.fail "an injection in the past was accepted"
+  | Some msg ->
+      check bool "one-line message" false (String.contains msg '\n');
+      check bool "names Engine.inject" true (contains msg "Engine.inject"));
+  check int "only the in-order injection ran" 1 !ran;
+  check int "one request admitted" 1
+    (Machine.stats (Engine.machine e)).Stats.requests_admitted
+
 let suite =
   [
     Alcotest.test_case "interarrival gaps are pure per (stream, index)"
@@ -333,4 +359,6 @@ let suite =
       test_cli_serve_out;
     Alcotest.test_case "request-class labels survive RFC 4180 quoting"
       `Quick test_csv_quoting;
+    Alcotest.test_case "inject rejects a ready_at in the past" `Quick
+      test_inject_rejects_past;
   ]

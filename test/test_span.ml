@@ -2,8 +2,11 @@
    determinism of the olden-spans/v1 export across all ten benchmarks,
    exemplar trace ids naming real completed episodes whose root duration
    is the recorded latency, exact hop tiling of migration episodes, the
-   flight-recorder dump on a forced deadlock, and zero perturbation of
-   the simulation whether tracing is on or off. *)
+   flight-recorder dump on a forced deadlock, zero perturbation of the
+   simulation whether tracing is on or off, and the observability
+   switches an engine captures at [create]: sinks installed after it
+   still receive everything, and the engine refuses to run on another
+   domain. *)
 
 open Olden
 module B = Olden_benchmarks
@@ -301,6 +304,71 @@ let test_span_neutral () =
     (Json.to_string (Stats.to_json plain.B.Common.total_stats))
     (Json.to_string (Stats.to_json o.B.Common.total_stats))
 
+(* --- Switches captured at engine creation ----------------------------------- *)
+
+(* [Common.execute] creates the engine first and installs the trace
+   collector, the span collector and the monitor afterwards, so the
+   engine's captured switches must see sinks that arrived later: the
+   streams equal the goldens (recorded with [collect] wrapped around the
+   whole run), and the monitor saw exactly one latency sample per
+   dereference root. *)
+let test_sinks_installed_after_create () =
+  Site.reset ();
+  let h = B.Common.hooks () in
+  h.record_trace <- true;
+  h.record_spans <- true;
+  h.monitor_interval <- Some 10_000;
+  let o =
+    Fun.protect
+      ~finally:(fun () ->
+        h.record_trace <- false;
+        h.record_spans <- false;
+        h.monitor_interval <- None)
+      (fun () ->
+        B.Treeadd.spec.B.Common.run (Config.make ~nprocs:2 ()) ~scale:1_000_000)
+  in
+  check bool "verified" true o.B.Common.ok;
+  let events = Option.get h.last_trace and spans = Option.get h.last_spans in
+  let m = Option.get h.last_monitor in
+  h.last_trace <- None;
+  h.last_spans <- None;
+  h.last_monitor <- None;
+  check string "trace stream matches the golden"
+    (read_file "golden/treeadd_p2_trace.jsonl")
+    (Jsonl.to_string events);
+  check string "span stream matches the golden"
+    (read_file "golden/treeadd_p2_spans.jsonl")
+    (Span.jsonl spans);
+  let deref_roots =
+    Array.fold_left
+      (fun n (s : Span.span) ->
+        if s.Span.parent = -1 && s.Span.kind = Span.Deref then n + 1 else n)
+      0 spans
+  in
+  let recorded =
+    List.fold_left
+      (fun n (_, (s : Monitor.summary)) -> n + s.Monitor.count)
+      0 (Monitor.deref_summaries m)
+  in
+  check bool "the run dereferenced" true (deref_roots > 0);
+  check int "one monitor sample per dereference root" deref_roots recorded
+
+let test_exec_on_other_domain () =
+  let e = Engine.create (Config.make ~nprocs:2 ()) in
+  let outcome =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match Engine.exec e (fun () -> Ops.work 1) with
+           | () -> None
+           | exception Invalid_argument msg -> Some msg))
+  in
+  match outcome with
+  | None -> Alcotest.fail "exec on a foreign domain was accepted"
+  | Some msg ->
+      check bool "one-line message" false (String.contains msg '\n');
+      check bool "names Engine.exec" true
+        (String.length msg >= 11 && String.sub msg 0 11 = "Engine.exec")
+
 (* --- Chrome export ---------------------------------------------------------- *)
 
 let test_chrome_export () =
@@ -336,4 +404,8 @@ let suite =
     Alcotest.test_case "span collection never perturbs the run" `Quick
       test_span_neutral;
     Alcotest.test_case "chrome export flow arrows" `Quick test_chrome_export;
+    Alcotest.test_case "sinks installed after Engine.create see everything"
+      `Quick test_sinks_installed_after_create;
+    Alcotest.test_case "exec on another domain is rejected" `Quick
+      test_exec_on_other_domain;
   ]
