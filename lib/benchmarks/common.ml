@@ -107,28 +107,17 @@ let execute (cfg : C.t) ~(program : Engine.t -> string * bool) : outcome =
   if h.record_timeline then
     Machine.set_record_intervals (Engine.machine engine) true;
   let result = ref ("", false) in
-  let collector =
-    if h.record_trace then begin
-      let c = Trace.Collector.create () in
-      Trace.install (Trace.Collector.add c);
-      Some c
-    end
-    else None
-  in
   let span_collector =
-    if h.record_spans then begin
-      let c = Span.Collector.create () in
-      Span.install (Span.Collector.add c);
-      Some c
-    end
-    else None
+    if h.record_spans then Some (Span.Collector.create ()) else None
+  in
+  let collector =
+    if h.record_trace then Some (Trace.Collector.create ()) else None
   in
   (* the flight recorder rides along on every faulty run: recording is
      allocation-free, and a wedged chaos run then leaves a post-mortem
      behind.  Fault-free runs stay untouched — spans off means not even
      the one-word guard reads differently from the seed behavior. *)
   let flight_here = cfg.C.faults <> None && not (Flight.is_enabled ()) in
-  if flight_here then Span.flight_enable ();
   let monitor =
     Option.map
       (fun interval ->
@@ -148,16 +137,42 @@ let execute (cfg : C.t) ~(program : Engine.t -> string * bool) : outcome =
             })
       h.monitor_interval
   in
-  Option.iter Monitor.install monitor;
+  (* Each sink is installed inside the protected body and noted once in
+     place, so when an install is refused (a collector or monitor is
+     already there) [finally] undoes exactly what came before it. *)
+  let spans_in = ref false
+  and trace_in = ref false
+  and flight_in = ref false
+  and monitor_in = ref false in
   Fun.protect
     ~finally:(fun () ->
-      if Option.is_some monitor then Monitor.uninstall ();
-      if Option.is_some span_collector then Span.uninstall ();
+      if !monitor_in then Monitor.uninstall ();
+      if !spans_in then Span.uninstall ();
       (* disabling keeps the ring contents: a failure escaping [exec]
          can still be dumped by the caller's exception handler *)
-      if flight_here then Span.flight_disable ();
-      if Option.is_some collector then Trace.uninstall ())
-    (fun () -> Engine.exec engine (fun () -> result := program engine));
+      if !flight_in then Span.flight_disable ();
+      if !trace_in then Trace.uninstall ())
+    (fun () ->
+      Option.iter
+        (fun c ->
+          Span.install c;
+          spans_in := true)
+        span_collector;
+      Option.iter
+        (fun c ->
+          Trace.install (Trace.Collector.add c);
+          trace_in := true)
+        collector;
+      if flight_here then begin
+        Span.flight_enable ();
+        flight_in := true
+      end;
+      Option.iter
+        (fun m ->
+          Monitor.install m;
+          monitor_in := true)
+        monitor;
+      Engine.exec engine (fun () -> result := program engine));
   (match monitor with
   | Some m ->
       Monitor.finish m ~makespan:(Machine.makespan (Engine.machine engine));

@@ -47,7 +47,9 @@ type t = {
   retry_h : Metrics.histogram;
   recovery_h : Metrics.histogram;
   site_reg : Metrics.t; (* per-site histograms, kept out of window rows *)
-  site_h : (int, Metrics.histogram) Hashtbl.t; (* sid * 4 + mech_index *)
+  mutable site_h : Metrics.histogram array;
+      (* indexed by sid * 4 + mech_index; [no_site] marks a slot never
+         observed.  Grows by doubling to cover the largest key seen. *)
   req_reg : Metrics.t; (* per-request-class admission→completion latency *)
   req_h : (string, Metrics.histogram) Hashtbl.t; (* keyed by class label *)
   (* Exemplars: per mechanism, the trace ids of the worst episodes seen,
@@ -71,6 +73,10 @@ type t = {
 
 let exemplar_slots = 16
 
+(* The empty-slot sentinel of [site_h], told apart by physical equality;
+   never observed into. *)
+let no_site = Metrics.histogram (Metrics.create ()) "no_site"
+
 let create ~interval ~nprocs ~probe =
   if interval < 1 then invalid_arg "Monitor.create: interval < 1";
   let lat = Metrics.create () in
@@ -92,7 +98,7 @@ let create ~interval ~nprocs ~probe =
     retry_h = Metrics.histogram lat "retry_wait_cycles";
     recovery_h = Metrics.histogram lat "recovery_stall_cycles";
     site_reg = Metrics.create ();
-    site_h = Hashtbl.create 64;
+    site_h = Array.make 256 no_site;
     req_reg = Metrics.create ();
     req_h = Hashtbl.create 8;
     ex_n = Array.make 4 0;
@@ -196,9 +202,9 @@ let uninstall () = active () := None
    allocation-free. *)
 let note_exemplar t ~mech ~cycles =
   let m = mech_index mech in
-  let tp = Span.trace_proc () in
+  let tp = Span.trace_proc t.span in
   if tp >= 0 then begin
-    let ts = Span.trace_seq () in
+    let ts = Span.trace_seq t.span in
     let n = t.ex_n.(m) in
     if n < exemplar_slots then begin
       t.ex_cy.(m).(n) <- cycles;
@@ -219,35 +225,43 @@ let note_exemplar t ~mech ~cycles =
     end
   end
 
+(* A site's histogram, created on its first observation (cold). *)
+let new_site_h t ~key ~sid ~mech =
+  if key >= Array.length t.site_h then begin
+    let bigger =
+      Array.make (max (key + 1) (2 * Array.length t.site_h)) no_site
+    in
+    Array.blit t.site_h 0 bigger 0 (Array.length t.site_h);
+    t.site_h <- bigger
+  end;
+  let h =
+    Metrics.histogram t.site_reg
+      ~labels:[ ("mech", mech_name mech); ("sid", Printf.sprintf "%06d" sid) ]
+      "deref_latency"
+  in
+  t.site_h.(key) <- h;
+  h
+
 let deref_m t ~sid ~mech ~cycles =
   Metrics.observe t.deref_h.(mech_index mech) cycles;
   if Span.on t.span then note_exemplar t ~mech ~cycles;
   if sid >= 0 then begin
     let key = (sid * 4) + mech_index mech in
     let h =
-      match Hashtbl.find_opt t.site_h key with
-      | Some h -> h
-      | None ->
-          let h =
-            Metrics.histogram t.site_reg
-              ~labels:
-                [
-                  ("mech", mech_name mech);
-                  ("sid", Printf.sprintf "%06d" sid);
-                ]
-              "deref_latency"
-          in
-          Hashtbl.replace t.site_h key h;
-          h
+      if key < Array.length t.site_h && t.site_h.(key) != no_site then
+        t.site_h.(key)
+      else new_site_h t ~key ~sid ~mech
     in
     Metrics.observe h cycles
   end
 
-let tick time =
-  match !(active ()) with None -> () | Some t -> tick_m t time
+let tick (a : switch) time =
+  match !a with None -> () | Some t -> tick_m t time
 
-let deref ~sid ~mech ~cycles =
-  match !(active ()) with None -> () | Some t -> deref_m t ~sid ~mech ~cycles
+let deref_in (a : switch) ~sid ~mech ~cycles =
+  match !a with None -> () | Some t -> deref_m t ~sid ~mech ~cycles
+
+let deref ~sid ~mech ~cycles = deref_in (active ()) ~sid ~mech ~cycles
 
 let migration ~cycles =
   match !(active ()) with
@@ -344,8 +358,11 @@ let request_summaries t =
   |> List.map (fun (klass, h) -> (klass, summarize h))
 
 let site_summaries ?(site_names = []) t =
-  Hashtbl.fold (fun key h acc -> (key, h) :: acc) t.site_h []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let rows = ref [] in
+  for key = Array.length t.site_h - 1 downto 0 do
+    if t.site_h.(key) != no_site then rows := (key, t.site_h.(key)) :: !rows
+  done;
+  !rows
   |> List.map (fun (key, h) ->
          let sid = key / 4 in
          let label =

@@ -26,9 +26,12 @@
     domain's {!switch} when they are created, and instrumentation sites
     are written
 
-    {[ if Monitor.on t.monitor then Monitor.deref ~sid ~mech ~cycles ]}
+    {[ if Monitor.on t.monitor then Monitor.migration ~cycles ]}
 
     so with no monitor installed only an already-held ref is read.  The
+    two per-operation hooks, {!deref_in} and {!tick}, take the
+    switch itself, so recording makes no domain-local lookup either;
+    recording allocates nothing once a site's histogram exists.  The
     monitor only {e reads} simulated clocks — it never advances them —
     so monitored runs are cycle-identical to unmonitored ones, and the
     output is a pure function of (program, config, seed): same seed,
@@ -103,14 +106,17 @@ val is_on : unit -> bool
     scheduler's global virtual time, which is monotonically
     non-decreasing across calls. *)
 
-val tick : int -> unit
-(** Advance the window clock; closes every interval window the given
-    time has passed. *)
+val tick : switch -> int -> unit
+(** Advance the window clock of the monitor behind the switch; closes
+    every interval window the given time has passed. *)
 
 val deref : sid:int -> mech:mech -> cycles:int -> unit
 (** A dereference episode completed: end-to-end latency [cycles], from
     the operation's entry to its completion on whichever processor
     finished it. *)
+
+val deref_in : switch -> sid:int -> mech:mech -> cycles:int -> unit
+(** {!deref} into the monitor behind a captured switch. *)
 
 val migration : cycles:int -> unit
 (** A migrated computation restarted at its target: [cycles] from

@@ -285,7 +285,7 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
       if penalty > 0 then
         Span.child ~kind:Span.Penalty ~proc:target
           ~t0:(send_done + c.C.net_latency) ~t1:ready_at ~a:penalty ~b:0;
-      Span.save ()
+      Span.save t.span
     end
     else Span.no_ctx
   in
@@ -301,7 +301,7 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
           let span_on = Span.on t.span in
           let t_arr = Machine.now t.machine target in
           if span_on then begin
-            Span.restore sctx;
+            Span.restore t.span sctx;
             if t_arr > ready_at then
               Span.child ~kind:Span.Queue ~proc:target ~t0:ready_at ~t1:t_arr
                 ~a:0 ~b:0
@@ -340,10 +340,10 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
               ~t1:(Machine.now t.machine target) ~a:0 ~b:0;
           if Monitor.on t.monitor then
             (* entry to completion of the interrupted dereference *)
-            Monitor.deref ~sid:site ~mech:Monitor.Migrate
+            Monitor.deref_in t.monitor ~sid:site ~mech:Monitor.Migrate
               ~cycles:(Machine.now t.machine target - ep0);
           if span_on then
-            Span.close_root
+            Span.close_root t.span
               ~t1:(Machine.now t.machine target)
               ~a:site ~b:2 (* mech code: migrate *);
           Effect.Deep.continue k v);
@@ -502,7 +502,7 @@ let mech_code = function
    body raises [Must_perform] the root stays open in the ambient context
    and the effect-handler arm continues the same episode (the arm is
    always entered with the root already open — [Ops] tries the fast path
-   first).  [Monitor.deref] runs before [close_root] so exemplars can
+   first).  [Monitor.deref_in] runs before [close_root] so exemplars can
    read the trace id of the episode they record. *)
 
 let immediate_load t (site : Site.t) g field =
@@ -511,14 +511,16 @@ let immediate_load t (site : Site.t) g field =
   if not (mon || sp) then immediate_load_u t site g field
   else begin
     let ep0 = now t in
-    if sp && not (Span.root_open ()) then
-      Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
+    if sp && not (Span.root_open t.span) then
+      Span.open_root t.span ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
     let v = immediate_load_u t site g field in
     let mech = completed_mech t site in
     if mon then
-      Monitor.deref ~sid:site.Site.sid ~mech ~cycles:(now t - ep0);
+      Monitor.deref_in t.monitor ~sid:site.Site.sid ~mech
+        ~cycles:(now t - ep0);
     if sp then
-      Span.close_root ~t1:(now t) ~a:site.Site.sid ~b:(mech_code mech);
+      Span.close_root t.span ~t1:(now t) ~a:site.Site.sid
+        ~b:(mech_code mech);
     v
   end
 
@@ -528,14 +530,16 @@ let immediate_store t (site : Site.t) g field v =
   if not (mon || sp) then immediate_store_u t site g field v
   else begin
     let ep0 = now t in
-    if sp && not (Span.root_open ()) then
-      Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
+    if sp && not (Span.root_open t.span) then
+      Span.open_root t.span ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
     immediate_store_u t site g field v;
     let mech = completed_mech t site in
     if mon then
-      Monitor.deref ~sid:site.Site.sid ~mech ~cycles:(now t - ep0);
+      Monitor.deref_in t.monitor ~sid:site.Site.sid ~mech
+        ~cycles:(now t - ep0);
     if sp then
-      Span.close_root ~t1:(now t) ~a:site.Site.sid ~b:(mech_code mech)
+      Span.close_root t.span ~t1:(now t) ~a:site.Site.sid
+        ~b:(mech_code mech)
   end
 
 let immediate_touch t (cell : fut) =
@@ -639,8 +643,9 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                    captured *)
                 let c = costs t in
                 let home = Gptr.proc g in
-                if Span.on t.span && not (Span.root_open ()) then
-                  Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
+                if Span.on t.span && not (Span.root_open t.span) then
+                  Span.open_root t.span ~kind:Span.Deref ~proc:t.cur_proc
+                    ~t0:ep0;
                 advance t c.C.pointer_test;
                 match try_migrate t ~site ~home with
                 | Some penalty ->
@@ -666,10 +671,10 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                       Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
                         ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
                     if Monitor.on t.monitor then
-                      Monitor.deref ~sid:site.Site.sid
+                      Monitor.deref_in t.monitor ~sid:site.Site.sid
                         ~mech:Monitor.Fallback ~cycles:(now t - ep0);
                     if sp then
-                      Span.close_root ~t1:(now t) ~a:site.Site.sid
+                      Span.close_root t.span ~t1:(now t) ~a:site.Site.sid
                         ~b:3 (* mech code: fallback *);
                     Effect.Deep.continue k v))
     | Store (site, g, field, v) ->
@@ -683,8 +688,9 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
             | exception Must_perform -> (
                 let c = costs t in
                 let home = Gptr.proc g in
-                if Span.on t.span && not (Span.root_open ()) then
-                  Span.open_root ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
+                if Span.on t.span && not (Span.root_open t.span) then
+                  Span.open_root t.span ~kind:Span.Deref ~proc:t.cur_proc
+                    ~t0:ep0;
                 advance t c.C.pointer_test;
                 match try_migrate t ~site ~home with
                 | Some penalty ->
@@ -710,10 +716,10 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                       Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
                         ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
                     if Monitor.on t.monitor then
-                      Monitor.deref ~sid:site.Site.sid
+                      Monitor.deref_in t.monitor ~sid:site.Site.sid
                         ~mech:Monitor.Fallback ~cycles:(now t - ep0);
                     if sp then
-                      Span.close_root ~t1:(now t) ~a:site.Site.sid
+                      Span.close_root t.span ~t1:(now t) ~a:site.Site.sid
                         ~b:3 (* mech code: fallback *);
                     Effect.Deep.continue k ()))
     | Future body ->
@@ -818,8 +824,9 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
               (* a return stub is its own episode: a fresh root whose
                  children are its send/wire/penalty/queue/replay/recv
                  hops and any fault events along the way *)
-              if sp && not (Span.root_open ()) then
-                Span.open_root ~kind:Span.Return ~proc:source ~t0:ep0;
+              if sp && not (Span.root_open t.span) then
+                Span.open_root t.span ~kind:Span.Return ~proc:source
+                  ~t0:ep0;
               (* a return is also a release point *)
               Cache.on_migration_sent t.cache ~proc:t.cur_proc
                 ~log:thread.log;
@@ -849,7 +856,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                     Span.child ~kind:Span.Penalty ~proc:target
                       ~t0:(send_done + c.C.net_latency) ~t1:ready_at
                       ~a:penalty ~b:0;
-                  Span.save ()
+                  Span.save t.span
                 end
                 else Span.no_ctx
               in
@@ -865,7 +872,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                       let span_on = Span.on t.span in
                       let t_arr = Machine.now t.machine target in
                       if span_on then begin
-                        Span.restore sctx;
+                        Span.restore t.span sctx;
                         if t_arr > ready_at then
                           Span.child ~kind:Span.Queue ~proc:target
                             ~t0:ready_at ~t1:t_arr ~a:0 ~b:0
@@ -893,7 +900,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                         Monitor.return_stub
                           ~cycles:(Machine.now t.machine target - ep0);
                       if span_on then
-                        Span.close_root
+                        Span.close_root t.span
                           ~t1:(Machine.now t.machine target)
                           ~a:target ~b:0;
                       Effect.Deep.continue k ());
@@ -1004,7 +1011,7 @@ let step t =
     | _ ->
     (* [best_start] is the global virtual time: it never decreases across
        steps, so it drives the monitor's interval windows *)
-    if Monitor.on t.monitor then Monitor.tick best_start;
+    if Monitor.on t.monitor then Monitor.tick t.monitor best_start;
     Machine.wait_until t.machine proc best_start;
     let steal = Scheduler.source t.sched proc = Scheduler.Work in
     let task = Scheduler.take t.sched proc in
@@ -1026,7 +1033,7 @@ let step t =
     (* a task must not inherit the ambient span context of whatever ran
        last: cross-task context travels only inside scheduled closures
        (via [Span.save]/[restore]), which re-install it themselves *)
-    if Span.on t.span then Span.clear ();
+    if Span.on t.span then Span.clear t.span;
     task.go ();
     true
   end

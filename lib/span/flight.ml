@@ -51,17 +51,18 @@ let enable ?(capacity = default_capacity) () =
   r.enabled <- true
 
 let disable () = (recorder ()).enabled <- false
-let is_enabled () = (recorder ()).enabled
+let enabled r = r.enabled
+let is_enabled () = enabled (recorder ())
 let capacity () = (recorder ()).cap
 let recorded () = (recorder ()).head
 
 let set_path p = (recorder ()).path <- p
 let get_path () = (recorder ()).path
 
-(* Record one event.  Callers guard on {!is_enabled}; nothing here
-   allocates. *)
-let note ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
-  let r = recorder () in
+(* Record one event into [r], the domain's recorder (the span layer
+   holds it, so no lookup here).  Callers guard on {!enabled}; nothing
+   here allocates. *)
+let note r ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
   let base = r.head mod r.cap * fields in
   let arr = r.buf in
   arr.(base) <- tp;

@@ -9,6 +9,13 @@
     after cleanup.  Kind codes are opaque here; the span layer
     ({!Span.flight_dump}) renders them. *)
 
+type recorder
+(** One domain's ring, dump path and enabled flag.  Mutated in place
+    and never replaced. *)
+
+val recorder : unit -> recorder
+(** The calling domain's recorder. *)
+
 val fields : int
 (** Ints per recorded event: trace_proc, trace_seq, id, parent, kind
     code, proc, t0, t1, a, b. *)
@@ -21,6 +28,10 @@ val enable : ?capacity:int -> unit -> unit
 
 val disable : unit -> unit
 val is_enabled : unit -> bool
+
+val enabled : recorder -> bool
+(** Whether the given recorder is recording; a field read, no lookup. *)
+
 val capacity : unit -> int
 
 val recorded : unit -> int
@@ -32,9 +43,10 @@ val set_path : string -> unit
 val get_path : unit -> string
 
 val note :
-  tp:int -> ts:int -> id:int -> parent:int -> kind:int -> proc:int ->
-  t0:int -> t1:int -> a:int -> b:int -> unit
-(** Record one event; caller guards on {!is_enabled}.  Allocation-free. *)
+  recorder -> tp:int -> ts:int -> id:int -> parent:int -> kind:int ->
+  proc:int -> t0:int -> t1:int -> a:int -> b:int -> unit
+(** Record one event into the given recorder; the caller guards on
+    {!enabled}.  Allocation-free. *)
 
 val events : unit -> int array array
 (** Retained events, oldest first, each a [fields]-slot array. *)

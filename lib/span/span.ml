@@ -145,23 +145,78 @@ let is_hop = function
 
 let is_root = function Deref | Return | Request -> true | _ -> false
 
+(* --- Collector ----------------------------------------------------------- *)
+
+(* The export consumer keeps every span record, in fixed-size chunks: an
+   [add] never copies what is already held and never boxes a slot.
+   [spans] blits the chunks into one array of exact size. *)
+module Collector = struct
+  let chunk_size = 4096
+
+  let blank =
+    {
+      trace_proc = -1;
+      trace_seq = -1;
+      id = -1;
+      parent = -1;
+      kind = Deref;
+      proc = -1;
+      t0 = 0;
+      t1 = 0;
+      a = 0;
+      b = 0;
+    }
+
+  type t = {
+    mutable full : span array list; (* filled chunks, newest first *)
+    mutable nfull : int;
+    mutable cur : span array;
+    mutable pos : int; (* next free slot of [cur] *)
+  }
+
+  let create () =
+    { full = []; nfull = 0; cur = Array.make chunk_size blank; pos = 0 }
+
+  let add c sp =
+    if c.pos = chunk_size then begin
+      c.full <- c.cur :: c.full;
+      c.nfull <- c.nfull + 1;
+      c.cur <- Array.make chunk_size blank;
+      c.pos <- 0
+    end;
+    c.cur.(c.pos) <- sp;
+    c.pos <- c.pos + 1
+
+  let length c = (c.nfull * chunk_size) + c.pos
+
+  let spans c =
+    let out = Array.make (length c) blank in
+    List.iteri
+      (fun i chunk ->
+        Array.blit chunk 0 out ((c.nfull - 1 - i) * chunk_size) chunk_size)
+      c.full;
+    Array.blit c.cur 0 out (c.nfull * chunk_size) c.pos;
+    out
+end
+
 (* --- The sink ----------------------------------------------------------- *)
 
-(* All ambient span state — the sink, the in-flight trace context, and
-   the per-processor sequence/last-span arrays — lives in one record
-   behind a domain-local key: engines running on different domains (the
-   parallel sweep driver) keep fully independent span streams, and
-   [Span.reset] per run keeps each stream's ids deterministic.  The
-   record is mutated in place and never replaced, so a [switch] captured
-   before [install] or [flight_enable] sees them; the emission functions
-   themselves (only reached when on) still look the record up. *)
+(* All ambient span state — the collector, the flight recorder, the
+   in-flight trace context, and the per-processor sequence/last-span
+   arrays — lives in one record behind a domain-local key: engines
+   running on different domains (the parallel sweep driver) keep fully
+   independent span streams, and [Span.reset] per run keeps each
+   stream's ids deterministic.  The record is mutated in place and never
+   replaced, so a [switch] captured before [install] or [flight_enable]
+   sees them.  Functions that take the switch do no lookup at all; the
+   others ([child], [enter], ...) make one per call. *)
 
 let max_procs = 1024
 
 type state = {
-  mutable on : bool;
-  mutable collector_on : bool;
-  mutable sink : span -> unit;
+  mutable on : bool; (* collector installed or flight recorder enabled *)
+  mutable collector : Collector.t option;
+  flight : Flight.recorder; (* this domain's ring *)
   mutable next_id : int;
   mutable ctx_tp : int; (* trace id of the episode in flight, -1 when none *)
   mutable ctx_ts : int;
@@ -169,7 +224,7 @@ type state = {
   mutable root_id : int;
   mutable root_t0 : int;
   mutable root_proc : int;
-  mutable root_kind : int;
+  mutable root_kind : kind;
   root_seq : int array; (* next trace_seq per processor *)
   last_span : int array; (* last span id emitted per proc *)
 }
@@ -178,8 +233,8 @@ let key =
   Domain.DLS.new_key (fun () ->
       {
         on = false;
-        collector_on = false;
-        sink = (fun _ -> ());
+        collector = None;
+        flight = Flight.recorder ();
         next_id = 0;
         ctx_tp = -1;
         ctx_ts = -1;
@@ -187,16 +242,14 @@ let key =
         root_id = -1;
         root_t0 = 0;
         root_proc = -1;
-        root_kind = 0;
+        root_kind = Deref;
         root_seq = Array.make max_procs 0;
         last_span = Array.make max_procs (-1);
       })
 
 let state () = Domain.DLS.get key
 
-let refresh_on () =
-  let g = state () in
-  g.on <- g.collector_on || Flight.is_enabled ()
+let refresh_on g = g.on <- g.collector <> None || Flight.enabled g.flight
 
 type switch = state
 
@@ -204,25 +257,27 @@ let switch = state
 let on (g : switch) = g.on
 let is_on () = (state ()).on
 
-let install sink =
+let install c =
   let g = state () in
-  g.sink <- sink;
-  g.collector_on <- true;
-  refresh_on ()
+  if g.collector <> None then
+    invalid_arg "Span.install: a collector is already installed";
+  g.collector <- Some c;
+  refresh_on g
 
+(* Dropping the reference matters: the collector holds the whole run's
+   spans, and the state outlives the run. *)
 let uninstall () =
   let g = state () in
-  g.collector_on <- false;
-  g.sink <- (fun _ -> ());
-  refresh_on ()
+  g.collector <- None;
+  refresh_on g
 
 let flight_enable ?capacity () =
   Flight.enable ?capacity ();
-  refresh_on ()
+  refresh_on (state ())
 
 let flight_disable () =
   Flight.disable ();
-  refresh_on ()
+  refresh_on (state ())
 
 let flight_set_path = Flight.set_path
 let flight_path = Flight.get_path
@@ -236,7 +291,7 @@ type saved = {
   s_root : int;
   s_rt0 : int;
   s_rproc : int;
-  s_rkind : int;
+  s_rkind : kind;
 }
 
 let no_ctx =
@@ -247,11 +302,10 @@ let no_ctx =
     s_root = -1;
     s_rt0 = 0;
     s_rproc = -1;
-    s_rkind = 0;
+    s_rkind = Deref;
   }
 
-let save () =
-  let g = state () in
+let save g =
   {
     s_tp = g.ctx_tp;
     s_ts = g.ctx_ts;
@@ -262,8 +316,7 @@ let save () =
     s_rkind = g.root_kind;
   }
 
-let restore s =
-  let g = state () in
+let restore g s =
   g.ctx_tp <- s.s_tp;
   g.ctx_ts <- s.s_ts;
   g.ctx_parent <- s.s_parent;
@@ -272,19 +325,19 @@ let restore s =
   g.root_proc <- s.s_rproc;
   g.root_kind <- s.s_rkind
 
-let clear () = restore no_ctx
+let clear g = restore g no_ctx
 
 let reset () =
   let g = state () in
   g.next_id <- 0;
-  clear ();
+  clear g;
   Array.fill g.root_seq 0 max_procs 0;
   Array.fill g.last_span 0 max_procs (-1)
 
-let trace_proc () = (state ()).ctx_tp
-let trace_seq () = (state ()).ctx_ts
+let trace_proc g = g.ctx_tp
+let trace_seq g = g.ctx_ts
 let parent () = (state ()).ctx_parent
-let root_open () = (state ()).root_id >= 0
+let root_open g = g.root_id >= 0
 
 let last_span_on proc =
   if proc < max_procs then (state ()).last_span.(proc) else -1
@@ -294,39 +347,50 @@ let last_span_on proc =
 (* The collector consumer allocates the record; the flight recorder
    stores raw ints.  Guarding each consumer separately keeps the
    flight-only path (chaos runs) allocation-free. *)
-let emit_raw ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
-  let g = state () in
+let emit_raw g ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
   if proc >= 0 && proc < max_procs then g.last_span.(proc) <- id;
-  if Flight.is_enabled () then
-    Flight.note ~tp ~ts ~id ~parent ~kind:(kind_code kind) ~proc ~t0 ~t1 ~a ~b;
-  if g.collector_on then
-    g.sink { trace_proc = tp; trace_seq = ts; id; parent; kind; proc; t0; t1; a; b }
+  if Flight.enabled g.flight then
+    Flight.note g.flight ~tp ~ts ~id ~parent ~kind:(kind_code kind) ~proc ~t0
+      ~t1 ~a ~b;
+  match g.collector with
+  | Some c ->
+      Collector.add c
+        {
+          trace_proc = tp;
+          trace_seq = ts;
+          id;
+          parent;
+          kind;
+          proc;
+          t0;
+          t1;
+          a;
+          b;
+        }
+  | None -> ()
 
-let fresh_id () =
-  let g = state () in
+let fresh_id g =
   let id = g.next_id in
   g.next_id <- id + 1;
   id
 
-let open_root ~kind ~proc ~t0 =
-  let g = state () in
+let open_root g ~kind ~proc ~t0 =
   let seq = g.root_seq.(proc) in
   g.root_seq.(proc) <- seq + 1;
   g.ctx_tp <- proc;
   g.ctx_ts <- seq;
-  let id = fresh_id () in
+  let id = fresh_id g in
   g.root_id <- id;
   g.ctx_parent <- id;
   g.root_t0 <- t0;
   g.root_proc <- proc;
-  g.root_kind <- kind_code kind
+  g.root_kind <- kind
 
-let close_root ~t1 ~a ~b =
-  let g = state () in
+let close_root g ~t1 ~a ~b =
   if g.root_id >= 0 then begin
-    emit_raw ~tp:g.ctx_tp ~ts:g.ctx_ts ~id:g.root_id ~parent:(-1)
-      ~kind:(kind_of_code g.root_kind) ~proc:g.root_proc ~t0:g.root_t0 ~t1 ~a ~b;
-    clear ()
+    emit_raw g ~tp:g.ctx_tp ~ts:g.ctx_ts ~id:g.root_id ~parent:(-1)
+      ~kind:g.root_kind ~proc:g.root_proc ~t0:g.root_t0 ~t1 ~a ~b;
+    clear g
   end
 
 (* A complete root episode in one shot (used for request roots, emitted
@@ -338,12 +402,12 @@ let root ~kind ~proc ~t0 ~t1 ~a ~b =
   let g = state () in
   let seq = g.root_seq.(proc) in
   g.root_seq.(proc) <- seq + 1;
-  emit_raw ~tp:proc ~ts:seq ~id:(fresh_id ()) ~parent:(-1) ~kind ~proc ~t0 ~t1
-    ~a ~b
+  emit_raw g ~tp:proc ~ts:seq ~id:(fresh_id g) ~parent:(-1) ~kind ~proc ~t0
+    ~t1 ~a ~b
 
 let child ~kind ~proc ~t0 ~t1 ~a ~b =
   let g = state () in
-  emit_raw ~tp:g.ctx_tp ~ts:g.ctx_ts ~id:(fresh_id ()) ~parent:g.ctx_parent
+  emit_raw g ~tp:g.ctx_tp ~ts:g.ctx_ts ~id:(fresh_id g) ~parent:g.ctx_parent
     ~kind ~proc ~t0 ~t1 ~a ~b
 
 (* Nested envelope spans (RPC, crash): reserve the id up front so fault
@@ -351,41 +415,20 @@ let child ~kind ~proc ~t0 ~t1 ~a ~b =
    Usage:  let prev = parent () in let id = enter () in
            ... ; exit_emit ~id ~prev ~kind ... *)
 let enter () =
-  let id = fresh_id () in
-  (state ()).ctx_parent <- id;
+  let g = state () in
+  let id = fresh_id g in
+  g.ctx_parent <- id;
   id
 
 let exit_emit ~id ~prev ~kind ~proc ~t0 ~t1 ~a ~b =
   let g = state () in
   g.ctx_parent <- prev;
-  emit_raw ~tp:g.ctx_tp ~ts:g.ctx_ts ~id ~parent:prev ~kind ~proc ~t0 ~t1 ~a ~b
-
-(* --- Collector ----------------------------------------------------------- *)
-
-module Collector = struct
-  type t = { mutable arr : span option array; mutable len : int }
-
-  let create () = { arr = Array.make 1024 None; len = 0 }
-
-  let add c sp =
-    if c.len = Array.length c.arr then begin
-      let bigger = Array.make (2 * c.len) None in
-      Array.blit c.arr 0 bigger 0 c.len;
-      c.arr <- bigger
-    end;
-    c.arr.(c.len) <- Some sp;
-    c.len <- c.len + 1
-
-  let length c = c.len
-
-  let spans c =
-    Array.init c.len (fun i ->
-        match c.arr.(i) with Some sp -> sp | None -> assert false)
-end
+  emit_raw g ~tp:g.ctx_tp ~ts:g.ctx_ts ~id ~parent:prev ~kind ~proc ~t0 ~t1
+    ~a ~b
 
 let collect f =
   let c = Collector.create () in
-  install (Collector.add c);
+  install c;
   Fun.protect ~finally:uninstall (fun () ->
       let result = f () in
       (result, Collector.spans c))

@@ -3,7 +3,10 @@
     that is propagated into scheduled cross-processor work, so migration
     legs, return stubs, retransmits, recovery messages, and crash
     replays form one causal tree per episode.  Zero-cost when off: one
-    boolean load per hook. *)
+    boolean load per hook.  On, a dereference that completes in place
+    allocates only the {!span} record the collector keeps, and the hooks
+    the engine calls once per dereference take its captured {!switch},
+    so they make no domain-local lookup. *)
 
 module Json = Olden_trace.Json
 
@@ -69,8 +72,27 @@ val is_on : unit -> bool
 (** [on (switch ())]: one [Domain.DLS.get] plus a field read, for cold
     callers that hold no switch. *)
 
-val install : (span -> unit) -> unit
+module Collector : sig
+  type t
+  (** Every span emitted while installed, in emission order, held in
+      fixed-size chunks: adding never copies earlier spans. *)
+
+  val chunk_size : int
+  (** Spans per chunk. *)
+
+  val create : unit -> t
+  val length : t -> int
+
+  val spans : t -> span array
+  (** The spans in emission order, in one array of exact size. *)
+end
+
+val install : Collector.t -> unit
+(** Make the collector this domain's span sink.
+    @raise Invalid_argument if a collector is already installed. *)
+
 val uninstall : unit -> unit
+(** Remove the collector and drop this domain's reference to it. *)
 
 (** {1 Flight recorder} *)
 
@@ -92,7 +114,9 @@ val flight_dump : reason:string -> state:string list -> string option
 
     The emitting side keeps the episode in flight as mutable context:
     the trace id, the current parent span id, and the open root.  All
-    writes are guarded by {!on} (or {!is_on}) at the call sites. *)
+    writes are guarded by {!on} (or {!is_on}) at the call sites.  The
+    per-dereference hooks take the caller's captured {!switch}; the
+    rest look the domain's state up once per call. *)
 
 type saved
 (** Snapshot of the ambient context, captured into scheduled-event
@@ -102,17 +126,17 @@ type saved
 val no_ctx : saved
 (** Preallocated empty snapshot (for closures built while off). *)
 
-val save : unit -> saved
-val restore : saved -> unit
-val clear : unit -> unit
+val save : switch -> saved
+val restore : switch -> saved -> unit
+val clear : switch -> unit
 
 val reset : unit -> unit
 (** Restart ids and per-processor sequences (once per [exec]), so
     same-seed runs export byte-identical spans. *)
 
-val root_open : unit -> bool
-val open_root : kind:kind -> proc:int -> t0:int -> unit
-val close_root : t1:int -> a:int -> b:int -> unit
+val root_open : switch -> bool
+val open_root : switch -> kind:kind -> proc:int -> t0:int -> unit
+val close_root : switch -> t1:int -> a:int -> b:int -> unit
 (** Emit the open root (parent -1) and clear the context; no-op when no
     root is open. *)
 
@@ -136,11 +160,11 @@ val exit_emit :
 (** Emit the envelope span reserved by {!enter} and restore [prev] as
     the parent. *)
 
-val trace_proc : unit -> int
+val trace_proc : switch -> int
 (** Trace id of the episode in flight (-1 when none) — how [Monitor]
     links exemplars to spans. *)
 
-val trace_seq : unit -> int
+val trace_seq : switch -> int
 
 val last_span_on : int -> int
 (** Last span id emitted on a processor (-1 if none) — surfaces in the
@@ -148,18 +172,10 @@ val last_span_on : int -> int
 
 (** {1 Collection & export} *)
 
-module Collector : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> span -> unit
-  val length : t -> int
-  val spans : t -> span array
-end
-
 val collect : (unit -> 'a) -> 'a * span array
 (** Run [f] with a fresh collector installed; returns its result and the
-    spans in emission order. *)
+    spans in emission order.
+    @raise Invalid_argument if a collector is already installed. *)
 
 val span_json : span -> Json.t
 

@@ -69,13 +69,22 @@ let histogram t ?(labels = []) name =
       Hashtbl.add t.table key (Histogram h);
       h
 
+(* The bit length of [v] (0 for [v <= 0]), capped at the last bucket:
+   bucket [i] holds [v <= 2^i - 1].  A binary search over shifts with
+   local refs the compiler keeps in registers, so [observe] allocates
+   nothing. *)
 let bucket_of v =
-  let v = max 0 v in
-  let rec go i bound =
-    if v <= bound || i = buckets_count - 1 then i
-    else go (i + 1) ((2 * bound) + 1)
-  in
-  go 0 0
+  if v <= 0 then 0
+  else begin
+    let x = ref v and n = ref 1 in
+    if !x lsr 32 <> 0 then begin x := !x lsr 32; n := !n + 32 end;
+    if !x lsr 16 <> 0 then begin x := !x lsr 16; n := !n + 16 end;
+    if !x lsr 8 <> 0 then begin x := !x lsr 8; n := !n + 8 end;
+    if !x lsr 4 <> 0 then begin x := !x lsr 4; n := !n + 4 end;
+    if !x lsr 2 <> 0 then begin x := !x lsr 2; n := !n + 2 end;
+    if !x lsr 1 <> 0 then n := !n + 1;
+    if !n >= buckets_count then buckets_count - 1 else !n
+  end
 
 let observe h v =
   h.observations <- h.observations + 1;

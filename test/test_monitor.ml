@@ -277,9 +277,177 @@ let test_jsonl_shape () =
 let test_off_by_default () =
   check bool "no monitor installed" false (Monitor.is_on ());
   (* the hooks are no-ops rather than errors when nothing is installed *)
-  Monitor.tick 1_000;
+  Monitor.tick (Monitor.switch ()) 1_000;
   Monitor.deref ~sid:0 ~mech:Monitor.Cache ~cycles:10;
   Monitor.retry_wait ~cycles:5
+
+(* --- Allocation-free recording ------------------------------------------- *)
+
+(* The bucket loop [Metrics] used before it became a bit-length
+   computation, kept here as the reference: bucket [i] holds
+   [v <= 2^i - 1], the last of the 48 buckets is the cap. *)
+let reference_bucket v =
+  let buckets_count = 48 in
+  let v = max 0 v in
+  let rec go i bound =
+    if v <= bound || i = buckets_count - 1 then i
+    else go (i + 1) ((2 * bound) + 1)
+  in
+  go 0 0
+
+(* The one populated bucket of a histogram holding only [v], seen through
+   the public API, as [(le, n)]. *)
+let bucket_seen v =
+  let h = Metrics.histogram (Metrics.create ()) "h" in
+  Metrics.observe h v;
+  let cells = ref [] in
+  Metrics.iter_buckets h (fun ~le ~n -> cells := (le, n) :: !cells);
+  !cells
+
+let test_bucket_equivalence () =
+  let agrees v = bucket_seen v = [ ((1 lsl reference_bucket v) - 1, 1) ] in
+  let edges =
+    [ min_int; -1; 0; max_int ]
+    @ List.concat
+        (List.init 62 (fun k ->
+             let p = 1 lsl k in
+             [ p - 1; p; p + 1 ]))
+  in
+  List.iter
+    (fun v -> check bool (Printf.sprintf "bucket of %d" v) true (agrees v))
+    edges;
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:2000 ~name:"bucket matches the reference loop"
+       QCheck.(oneof [ int; small_signed_int; int_range 0 1_000_000_000 ])
+       agrees)
+
+let quiet_probe =
+  let zeros () = [| 0 |] in
+  {
+    Monitor.stats = (fun () -> []);
+    busy = zeros;
+    comm = zeros;
+    recovery_stall = zeros;
+  }
+
+let with_monitor f =
+  let m = Monitor.create ~interval:1_000_000 ~nprocs:1 ~probe:quiet_probe in
+  Monitor.install m;
+  Fun.protect ~finally:Monitor.uninstall (fun () -> f ());
+  m
+
+let test_site_order () =
+  (* site ids out of order, repeated, and far past the initial table *)
+  let rng = Random.State.make [| 14 |] in
+  let sids = [| 700; 3; 65; 0; 1023; 3; 64; 5000; 1; 64; 255; 256 |] in
+  let events =
+    List.init 2000 (fun _ ->
+        ( sids.(Random.State.int rng (Array.length sids)),
+          Monitor.(
+            [| Local; Cache; Migrate; Fallback |].(Random.State.int rng 4)),
+          Random.State.int rng 100_000 ))
+  in
+  let m =
+    with_monitor (fun () ->
+        List.iter
+          (fun (sid, mech, cycles) -> Monitor.deref ~sid ~mech ~cycles)
+          events)
+  in
+  (* the reference: one histogram per (sid, mechanism) in a Hashtbl,
+     summarized in sorted key order *)
+  let table = Hashtbl.create 16 in
+  let reg = Metrics.create () in
+  List.iter
+    (fun (sid, mech, cycles) ->
+      let key = (sid, Monitor.mech_index mech) in
+      let h =
+        match Hashtbl.find_opt table key with
+        | Some h -> h
+        | None ->
+            let h =
+              Metrics.histogram reg
+                ~labels:[ ("k", Printf.sprintf "%d/%d" sid (snd key)) ]
+                "ref"
+            in
+            Hashtbl.replace table key h;
+            h
+      in
+      Metrics.observe h cycles)
+    events;
+  let summary h =
+    {
+      Monitor.count = Metrics.observations h;
+      sum = Metrics.sum h;
+      min = Metrics.min_value h;
+      max = Metrics.max_value h;
+      mean = Metrics.mean h;
+      p50 = Metrics.quantile h 0.5;
+      p90 = Metrics.quantile h 0.9;
+      p99 = Metrics.quantile h 0.99;
+      p999 = Metrics.quantile h 0.999;
+    }
+  in
+  let names = [| "local"; "cache"; "migrate"; "fallback" |] in
+  let want =
+    Hashtbl.fold (fun key h acc -> (key, h) :: acc) table []
+    |> List.sort compare
+    |> List.map (fun ((sid, mi), h) ->
+           (sid, Printf.sprintf "site#%d" sid, names.(mi), summary h))
+  in
+  let got = Monitor.site_summaries m in
+  check int "one row per (site, mechanism)" (List.length want)
+    (List.length got);
+  check bool "rows and summaries match the Hashtbl reference" true
+    (want = got)
+
+let test_deref_allocation_free () =
+  let calls = 100_000 in
+  let words = ref 0. in
+  ignore
+    (with_monitor (fun () ->
+         (* first observations create the per-site histograms *)
+         for sid = 0 to 7 do
+           Monitor.deref ~sid ~mech:Monitor.Cache ~cycles:1;
+           Monitor.deref ~sid ~mech:Monitor.Migrate ~cycles:1
+         done;
+         let w0 = Gc.minor_words () in
+         for i = 1 to calls do
+           Monitor.deref ~sid:(i land 7)
+             ~mech:(if i land 8 = 0 then Monitor.Cache else Monitor.Migrate)
+             ~cycles:(i * 37)
+         done;
+         words := Gc.minor_words () -. w0));
+  (* reading [Gc.minor_words] boxes one float; nothing else may allocate *)
+  check bool
+    (Printf.sprintf "%.0f minor words over %d derefs" !words calls)
+    true (!words <= 16.)
+
+(* A refused [Monitor.install] inside [Common.execute] (a monitor is
+   already installed) must undo the span collector, trace sink and
+   flight recorder installed before it. *)
+let test_refused_install_undoes_sinks () =
+  let h = B.Common.hooks () in
+  h.record_spans <- true;
+  h.record_trace <- true;
+  h.monitor_interval <- Some 10_000;
+  let cfg = Config.make ~nprocs:2 ~faults:(Config.Faults.mixed ~seed:1 ()) () in
+  ignore
+    (with_monitor (fun () ->
+         Fun.protect
+           ~finally:(fun () ->
+             h.record_spans <- false;
+             h.record_trace <- false;
+             h.monitor_interval <- None)
+           (fun () ->
+             Alcotest.check_raises "second monitor refused"
+               (Invalid_argument
+                  "Monitor.install: a monitor is already installed")
+               (fun () ->
+                 ignore
+                   ((spec "TreeAdd").B.Common.run cfg ~scale:1_000_000)))));
+  check bool "no span collector or flight recorder left" false
+    (Span.is_on ());
+  check bool "no trace sink left" false (Trace.is_on ())
 
 let suite =
   [
@@ -298,4 +466,12 @@ let suite =
     Alcotest.test_case "csv shape" `Quick test_csv_shape;
     Alcotest.test_case "jsonl shape" `Quick test_jsonl_shape;
     Alcotest.test_case "off by default" `Quick test_off_by_default;
+    Alcotest.test_case "histogram buckets match the reference loop" `Quick
+      test_bucket_equivalence;
+    Alcotest.test_case "site summaries in key order past the initial table"
+      `Quick test_site_order;
+    Alcotest.test_case "deref recording allocates nothing" `Quick
+      test_deref_allocation_free;
+    Alcotest.test_case "a refused install leaves no sink behind" `Quick
+      test_refused_install_undoes_sinks;
   ]

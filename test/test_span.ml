@@ -287,8 +287,8 @@ let test_off_by_default () =
   check bool "no span sink installed" false (Span.is_on ());
   (* the hooks are no-ops rather than errors when nothing is installed *)
   Span.child ~kind:Span.Drop ~proc:0 ~t0:0 ~t1:0 ~a:0 ~b:0;
-  Span.clear ();
-  check int "no ambient trace" (-1) (Span.trace_proc ())
+  Span.clear (Span.switch ());
+  check int "no ambient trace" (-1) (Span.trace_proc (Span.switch ()))
 
 let test_span_neutral () =
   (* collecting spans must not perturb the simulation: identical result,
@@ -385,6 +385,64 @@ let test_chrome_export () =
   check bool "flow arrows present" true (starts > 0);
   check int "flow starts pair with finishes" starts finishes
 
+(* --- The collector -------------------------------------------------------- *)
+
+let test_second_collector_refused () =
+  let refused =
+    Invalid_argument "Span.install: a collector is already installed"
+  in
+  let c = Span.Collector.create () in
+  Span.install c;
+  Fun.protect ~finally:Span.uninstall (fun () ->
+      Alcotest.check_raises "a second install" refused (fun () ->
+          Span.install (Span.Collector.create ())));
+  (* the case that used to lose the outer stream: [collect] around a
+     driver that installs its own collector *)
+  let h = B.Common.hooks () in
+  h.record_spans <- true;
+  Alcotest.check_raises "collect around a recording driver" refused
+    (fun () ->
+      Fun.protect
+        ~finally:(fun () -> h.record_spans <- false)
+        (fun () ->
+          ignore
+            (Span.collect (fun () ->
+                 B.Treeadd.spec.B.Common.run (Config.make ~nprocs:2 ())
+                   ~scale:1_000_000))));
+  check bool "nothing left installed" false (Span.is_on ())
+
+let test_collector_chunks () =
+  let n = (3 * Span.Collector.chunk_size) + 17 in
+  Span.reset ();
+  let (), spans =
+    Span.collect (fun () ->
+        for i = 0 to n - 1 do
+          Span.child ~kind:Span.Service ~proc:0 ~t0:i ~t1:(i + 1) ~a:i ~b:0
+        done)
+  in
+  check int "every span kept" n (Array.length spans);
+  Array.iteri
+    (fun i (sp : Span.span) ->
+      if sp.Span.id <> i || sp.Span.a <> i then
+        Alcotest.failf "slot %d holds span id %d (a = %d)" i sp.Span.id
+          sp.Span.a)
+    spans
+
+(* Kept out of line so no register or stack slot of the test still holds
+   the collector when the GC runs. *)
+let[@inline never] install_and_uninstall w =
+  let c = Span.Collector.create () in
+  Weak.set w 0 (Some c);
+  Span.install c;
+  Span.child ~kind:Span.Service ~proc:0 ~t0:0 ~t1:1 ~a:0 ~b:0;
+  Span.uninstall ()
+
+let test_collector_released () =
+  let w = Weak.create 1 in
+  install_and_uninstall w;
+  Gc.full_major ();
+  check bool "collector collected after uninstall" false (Weak.check w 0)
+
 let suite =
   [
     Alcotest.test_case "golden treeadd span stream" `Quick test_golden;
@@ -408,4 +466,10 @@ let suite =
       `Quick test_sinks_installed_after_create;
     Alcotest.test_case "exec on another domain is rejected" `Quick
       test_exec_on_other_domain;
+    Alcotest.test_case "a second collector is refused" `Quick
+      test_second_collector_refused;
+    Alcotest.test_case "collector keeps order across chunks" `Quick
+      test_collector_chunks;
+    Alcotest.test_case "collector released after uninstall" `Quick
+      test_collector_released;
   ]
