@@ -127,9 +127,10 @@ let latency_snapshots ~domains () =
     (List.length rows) nprocs
 
 (* Machine-readable span census over the Table-2 suite: one spanned run
-   per benchmark (8 processors, harness scale) counting causal spans per
-   kind — a cheap, fully deterministic canary for the olden-spans/v1
-   exporter (CI additionally byte-compares two full exports). *)
+   per benchmark (8 processors, harness scale) counting kept causal spans
+   per kind, plus the dereference roots folded into per-site counters —
+   a cheap, fully deterministic canary for the olden-spans/v2 exporter
+   (CI additionally byte-compares two full exports). *)
 let spans_census ~domains () =
   let module Json = Olden_trace.Json in
   let module Span = Olden_span.Span in
@@ -145,8 +146,15 @@ let spans_census ~domains () =
             ~finally:(fun () -> (Common.hooks ()).record_spans <- false)
             (fun () -> s.Common.run cfg ~scale)
         in
-        let spans = Option.value ~default:[||] (Common.hooks ()).last_spans in
-        (Common.hooks ()).last_spans <- None;
+        let h = Common.hooks () in
+        let spans = Option.value ~default:[||] h.last_spans in
+        let folded =
+          match h.last_retention with
+          | Some r -> Span.folded r.Span.folds
+          | None -> 0
+        in
+        h.last_spans <- None;
+        h.last_retention <- None;
         let counts = Hashtbl.create 8 in
         Array.iter
           (fun (sp : Span.span) ->
@@ -164,6 +172,7 @@ let spans_census ~domains () =
             ("scale", Json.Int scale);
             ("verified", Json.Bool o.Common.ok);
             ("spans", Json.Int (Array.length spans));
+            ("folded", Json.Int folded);
             ("per_kind", Json.Obj per_kind);
           ])
   in

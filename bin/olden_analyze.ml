@@ -56,8 +56,8 @@ let analyze file run_it procs coherence trace threshold profile spans_file =
           match spans_file with
           | None -> (f (), None)
           | Some _ ->
-              let r, spans = Span.collect f in
-              (r, Some spans)
+              let r, spans, kept = Span.collect f in
+              (r, Some (spans, kept.Span.folds))
         in
         let run_traced () =
           if profile then
@@ -103,16 +103,17 @@ let analyze file run_it procs coherence trace threshold profile spans_file =
                   (Olden_profile.Critical_path.analyze events))
               events;
             Option.iter
-              (fun spans ->
+              (fun (spans, folds) ->
                 match spans_file with
                 | None -> ()
                 | Some file ->
                     let oc = open_out file in
-                    output_string oc (Span.jsonl spans);
+                    output_string oc (Span.jsonl ~folds spans);
                     close_out oc;
-                    Format.printf "spans: %s (olden-spans/v1 JSONL, %d \
-                                   span(s))@."
-                      file (Array.length spans))
+                    Format.printf
+                      "spans: %s (olden-spans/v2 JSONL, %d span(s), %d \
+                       folded)@."
+                      file (Array.length spans) (Span.folded folds))
               spans
       end)
 
@@ -155,7 +156,7 @@ let spans_t =
     & info [ "spans" ] ~docv:"FILE"
         ~doc:
           "With --run: record causal dereference spans and write them to \
-           $(docv) as olden-spans/v1 JSONL.")
+           $(docv) as olden-spans/v2 JSONL.")
 
 let cmd =
   Cmd.v

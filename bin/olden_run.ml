@@ -9,7 +9,7 @@
                    persistent heap; throughput, p50/p99/p999 per request
                    class, optional offered-load sweep to the knee.
      trace         Run with event tracing on; print/export the stream.
-     spans         Run with causal span tracing on; export olden-spans/v1
+     spans         Run with causal span tracing on; export olden-spans/v2
                    JSONL and/or Chrome trace JSON with flow arrows.
      explain       Reconstruct and pretty-print the causal chain of the
                    worst-latency dereference episodes (tail exemplars).
@@ -1458,8 +1458,21 @@ let site_label sid =
   | Some l -> l
   | None -> Printf.sprintf "site%d" sid
 
-(* One run with the span collector installed; hands back the outcome and
-   the causal span stream in emission order. *)
+(* The kept spans and the retention record of the last spanned run,
+   taken out of the driver hooks. *)
+let take_spans () =
+  let h = B.Common.hooks () in
+  let spans = Option.value ~default:[||] h.last_spans in
+  let kept =
+    Option.value ~default:{ Span.folds = [||]; exemplars = [] }
+      h.last_retention
+  in
+  h.last_spans <- None;
+  h.last_retention <- None;
+  (spans, kept)
+
+(* One run with the span collector installed; hands back the outcome, the
+   kept spans in emission order, and the folds and exemplars. *)
 let run_spanned (spec : B.Common.spec) cfg ~scale =
   (B.Common.hooks ()).record_spans <- true;
   Olden_runtime.Site.reset_profiles ();
@@ -1468,9 +1481,8 @@ let run_spanned (spec : B.Common.spec) cfg ~scale =
       ~finally:(fun () -> (B.Common.hooks ()).record_spans <- false)
       (fun () -> spec.B.Common.run cfg ~scale)
   in
-  let spans = Option.value ~default:[||] (B.Common.hooks ()).last_spans in
-  (B.Common.hooks ()).last_spans <- None;
-  (o, spans)
+  let spans, kept = take_spans () in
+  (o, spans, kept)
 
 let spans_cmd =
   let run name procs scale coherence policy out chrome head faults_name
@@ -1482,7 +1494,7 @@ let spans_cmd =
       C.make ~nprocs:procs ~coherence ~policy ?faults
         ?replication:(replication_for faults) ()
     in
-    let o, spans = run_spanned spec cfg ~scale in
+    let o, spans, kept = run_spanned spec cfg ~scale in
     header spec ~procs ~scale ~coherence ~policy o;
     Option.iter
       (fun f -> Format.printf "faults: %s@." (C.Faults.to_string f))
@@ -1493,8 +1505,12 @@ let spans_cmd =
           if Span.is_root s.Span.kind then n + 1 else n)
         0 spans
     in
-    Format.printf "spans: %d total, %d root episode(s)@."
-      (Array.length spans) roots;
+    Format.printf
+      "spans: %d kept, %d root episode(s); %d dereference root(s) folded \
+       into %d site counter(s)@."
+      (Array.length spans) roots
+      (Span.folded kept.Span.folds)
+      (Array.length kept.Span.folds);
     (match head with
     | Some n when n > 0 ->
         Array.iteri
@@ -1505,8 +1521,9 @@ let spans_cmd =
     | _ -> ());
     Option.iter
       (fun file ->
-        with_out file (fun oc -> output_string oc (Span.jsonl spans));
-        Format.printf "spans: %s (olden-spans/v1 JSONL)@." file)
+        with_out file (fun oc ->
+            output_string oc (Span.jsonl ~folds:kept.Span.folds spans));
+        Format.printf "spans: %s (olden-spans/v2 JSONL)@." file)
       out;
     Option.iter
       (fun file ->
@@ -1523,9 +1540,10 @@ let spans_cmd =
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:
-            "Write the span stream as olden-spans/v1 JSONL: a schema header \
-             line, then one span per line in emission order \
-             (byte-identical across same-seed runs).")
+            "Write the span stream as olden-spans/v2 JSONL: a header line, \
+             one kept span per line in emission order, then one line per \
+             folded (site, mechanism) counter (byte-identical across \
+             same-seed runs).")
   in
   let chrome_t =
     Arg.(
@@ -1543,7 +1561,10 @@ let spans_cmd =
          "Run one benchmark with causal span tracing on: every dereference \
           opens a root span whose trace context is propagated across \
           migration legs, return stubs, retransmits, and crash replays; \
-          exports the stream as olden-spans/v1 JSONL or Chrome trace JSON.")
+          exports the stream as olden-spans/v2 JSONL or Chrome trace JSON. \
+          Childless local and cache dereference roots are folded into \
+          per-site counters unless they are among the worst of their \
+          mechanism, so the output stays bounded.")
     Term.(
       const run $ name_t $ procs_t $ scale_t $ coherence_t $ policy_t
       $ out_t $ chrome_t $ head_t $ faults_name_t $ fault_seed_t)
@@ -1562,9 +1583,10 @@ let explain_cmd =
       C.make ~nprocs:procs ~coherence ~policy ?faults
         ?replication:(replication_for faults) ()
     in
-    (* monitor and span collector together: the monitor's latency
-       histograms retain the trace ids of their worst episodes, and the
-       span stream holds the causal trees those ids name *)
+    (* monitor and span collector together: the collector holds the trace
+       ids of the worst episodes per mechanism and their causal trees, and
+       the monitor's latency histograms give the threshold they must
+       reach *)
     (B.Common.hooks ()).monitor_interval <- Some interval;
     (B.Common.hooks ()).record_spans <- true;
     Olden_runtime.Site.reset_profiles ();
@@ -1579,13 +1601,19 @@ let explain_cmd =
       match (B.Common.hooks ()).last_monitor with Some m -> m | None -> assert false
     in
     (B.Common.hooks ()).last_monitor <- None;
-    let spans = Option.value ~default:[||] (B.Common.hooks ()).last_spans in
-    (B.Common.hooks ()).last_spans <- None;
+    let spans, kept = take_spans () in
     header spec ~procs ~scale ~coherence ~policy o;
     Option.iter
       (fun f -> Format.printf "faults: %s@." (C.Faults.to_string f))
       faults;
-    (match Mon.exemplars ~percentile m with
+    let quantile (e : Span.exemplar) =
+      Mon.deref_quantile m (Mon.mech_of_index e.Span.ex_mech) percentile
+    in
+    (match
+       List.filter
+         (fun (e : Span.exemplar) -> e.Span.ex_cycles >= quantile e)
+         kept.Span.exemplars
+     with
     | [] ->
         Format.printf
           "no exemplar at or above the p%g threshold of its mechanism \
@@ -1598,18 +1626,18 @@ let explain_cmd =
            their mechanism:@."
           (List.length shown) (List.length exemplars) (100. *. percentile);
         List.iteri
-          (fun i (e : Mon.exemplar) ->
-            let q = Mon.deref_quantile m e.Mon.ex_mech percentile in
+          (fun i (e : Span.exemplar) ->
             Format.printf
               "@.#%d: %s dereference, %d cycles (mechanism p%g = %d), \
                trace %d:%d@."
               (i + 1)
-              (Mon.mech_name e.Mon.ex_mech)
-              e.Mon.ex_cycles (100. *. percentile) q e.Mon.ex_trace_proc
-              e.Mon.ex_trace_seq;
+              (Mon.mech_name (Mon.mech_of_index e.Span.ex_mech))
+              e.Span.ex_cycles (100. *. percentile) (quantile e)
+              e.Span.ex_trace_proc e.Span.ex_trace_seq;
             let buf = Buffer.create 512 in
             Span.explain buf ~site_name:site_label spans
-              ~trace_proc:e.Mon.ex_trace_proc ~trace_seq:e.Mon.ex_trace_seq;
+              ~trace_proc:e.Span.ex_trace_proc
+              ~trace_seq:e.Span.ex_trace_seq;
             print_string (Buffer.contents buf))
           shown);
     if not o.B.Common.ok then exit 1

@@ -77,6 +77,7 @@ type hooks = {
   mutable last_monitor : Monitor.t option;
   mutable record_spans : bool;
   mutable last_spans : Span.span array option;
+  mutable last_retention : Span.retention option;
 }
 
 let hooks_key =
@@ -95,6 +96,7 @@ let hooks_key =
         last_monitor = None;
         record_spans = false;
         last_spans = None;
+        last_retention = None;
       })
 
 let hooks () = Domain.DLS.get hooks_key
@@ -182,7 +184,9 @@ let execute (cfg : C.t) ~(program : Engine.t -> string * bool) : outcome =
   | Some c -> h.last_trace <- Some (Trace.Collector.events c)
   | None -> ());
   (match span_collector with
-  | Some c -> h.last_spans <- Some (Span.Collector.spans c)
+  | Some c ->
+      h.last_spans <- Some (Span.Collector.spans c);
+      h.last_retention <- Some (Span.Collector.retention c)
   | None -> ());
   h.last_busy <- Machine.busy_cycles (Engine.machine engine);
   h.last_clocks <- Machine.clocks (Engine.machine engine);

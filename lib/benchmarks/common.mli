@@ -82,12 +82,14 @@ type hooks = {
   mutable last_monitor : Monitor.t option;
   mutable record_spans : bool;
       (** When set, {!execute} installs a causal span collector
-          ({!Olden_span.Span}) for the run and leaves the span stream in
-          [last_spans].  Independently of this flag, any run with a fault
-          schedule enables the allocation-free flight recorder for its
-          duration (contents are retained after the run for
+          ({!Olden_span.Span}) for the run and leaves the kept spans in
+          [last_spans] and the fold counters and exemplars in
+          [last_retention].  Independently of this flag, any run with a
+          fault schedule enables the allocation-free flight recorder for
+          its duration (contents are retained after the run for
           post-mortems). *)
   mutable last_spans : Olden_span.Span.span array option;
+  mutable last_retention : Olden_span.Span.retention option;
 }
 
 val hooks : unit -> hooks

@@ -7,7 +7,6 @@
 
 module Metrics = Olden_trace.Metrics
 module Json = Olden_trace.Json
-module Span = Olden_span.Span
 
 type mech = Local | Cache | Migrate | Fallback
 
@@ -19,6 +18,7 @@ let mech_name = function
   | Fallback -> "fallback"
 
 let mechs = [| Local; Cache; Migrate; Fallback |]
+let mech_of_index i = mechs.(i)
 
 type probe = {
   stats : unit -> (string * int) list;
@@ -36,7 +36,7 @@ type window = {
 }
 
 type t = {
-  span : Span.switch; (* gates exemplar capture in [deref_m] *)
+  home : t option ref; (* the creating domain's sink slot (see [install]) *)
   interval : int;
   nprocs : int;
   probe : probe;
@@ -52,15 +52,6 @@ type t = {
          observed.  Grows by doubling to cover the largest key seen. *)
   req_reg : Metrics.t; (* per-request-class admission→completion latency *)
   req_h : (string, Metrics.histogram) Hashtbl.t; (* keyed by class label *)
-  (* Exemplars: per mechanism, the trace ids of the worst episodes seen,
-     in fixed parallel int arrays so recording stays allocation-free.
-     Populated only while span tracing is on (the trace id is what makes
-     an exemplar useful); filtered against a percentile threshold at
-     report time. *)
-  ex_n : int array; (* exemplars held, per mech_index *)
-  ex_cy : int array array; (* [mech].(slot) episode cycles *)
-  ex_tp : int array array; (* [mech].(slot) trace proc *)
-  ex_ts : int array array; (* [mech].(slot) trace seq *)
   mutable mark : int; (* left edge of the open window *)
   mutable prev_stats : (string * int) list;
   mutable prev_busy : int array;
@@ -71,7 +62,14 @@ type t = {
   mutable finished : bool;
 }
 
-let exemplar_slots = 16
+(* One installed monitor per domain: runs on different domains of the
+   parallel sweep driver sample independently.  The ref is assigned in
+   place and never replaced, so a [switch] captured before [install]
+   sees the monitor. *)
+let active_key : t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let active () = Domain.DLS.get active_key
 
 (* The empty-slot sentinel of [site_h], told apart by physical equality;
    never observed into. *)
@@ -81,7 +79,7 @@ let create ~interval ~nprocs ~probe =
   if interval < 1 then invalid_arg "Monitor.create: interval < 1";
   let lat = Metrics.create () in
   {
-    span = Span.switch ();
+    home = active ();
     interval;
     nprocs;
     probe;
@@ -101,10 +99,6 @@ let create ~interval ~nprocs ~probe =
     site_h = Array.make 256 no_site;
     req_reg = Metrics.create ();
     req_h = Hashtbl.create 8;
-    ex_n = Array.make 4 0;
-    ex_cy = Array.init 4 (fun _ -> Array.make exemplar_slots 0);
-    ex_tp = Array.init 4 (fun _ -> Array.make exemplar_slots 0);
-    ex_ts = Array.init 4 (fun _ -> Array.make exemplar_slots 0);
     mark = 0;
     prev_stats = probe.stats ();
     prev_busy = probe.busy ();
@@ -170,15 +164,6 @@ let windows t = List.rev t.rev_windows
 
 (* --- The domain-wide sink --------------------------------------------- *)
 
-(* One installed monitor per domain: runs on different domains of the
-   parallel sweep driver sample independently.  The ref is assigned in
-   place and never replaced, so a [switch] captured before [install]
-   sees the monitor. *)
-let active_key : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let active () = Domain.DLS.get active_key
-
 type switch = t option ref
 
 let switch = active
@@ -187,7 +172,7 @@ let is_on () = on (active ())
 
 let install m =
   let a = active () in
-  if m.span != Span.switch () then
+  if m.home != a then
     invalid_arg "Monitor.install: monitor was created on a different domain";
   (match !a with
   | Some _ -> invalid_arg "Monitor.install: a monitor is already installed"
@@ -195,35 +180,6 @@ let install m =
   a := Some m
 
 let uninstall () = active () := None
-
-(* Keep the worst [exemplar_slots] episodes per mechanism: append while
-   there is room, otherwise displace the (first) smallest held exemplar
-   when the new episode is strictly worse — deterministic, bounded, and
-   allocation-free. *)
-let note_exemplar t ~mech ~cycles =
-  let m = mech_index mech in
-  let tp = Span.trace_proc t.span in
-  if tp >= 0 then begin
-    let ts = Span.trace_seq t.span in
-    let n = t.ex_n.(m) in
-    if n < exemplar_slots then begin
-      t.ex_cy.(m).(n) <- cycles;
-      t.ex_tp.(m).(n) <- tp;
-      t.ex_ts.(m).(n) <- ts;
-      t.ex_n.(m) <- n + 1
-    end
-    else begin
-      let worst = ref 0 in
-      for i = 1 to n - 1 do
-        if t.ex_cy.(m).(i) < t.ex_cy.(m).(!worst) then worst := i
-      done;
-      if cycles > t.ex_cy.(m).(!worst) then begin
-        t.ex_cy.(m).(!worst) <- cycles;
-        t.ex_tp.(m).(!worst) <- tp;
-        t.ex_ts.(m).(!worst) <- ts
-      end
-    end
-  end
 
 (* A site's histogram, created on its first observation (cold). *)
 let new_site_h t ~key ~sid ~mech =
@@ -244,7 +200,6 @@ let new_site_h t ~key ~sid ~mech =
 
 let deref_m t ~sid ~mech ~cycles =
   Metrics.observe t.deref_h.(mech_index mech) cycles;
-  if Span.on t.span then note_exemplar t ~mech ~cycles;
   if sid >= 0 then begin
     let key = (sid * 4) + mech_index mech in
     let h =
@@ -372,48 +327,7 @@ let site_summaries ?(site_names = []) t =
          in
          (sid, label, mech_name mechs.(key mod 4), summarize h))
 
-(* --- Exemplars ---------------------------------------------------------- *)
-
-type exemplar = {
-  ex_mech : mech;
-  ex_cycles : int;
-  ex_trace_proc : int;
-  ex_trace_seq : int;
-}
-
 let deref_quantile t mech q = Metrics.quantile t.deref_h.(mech_index mech) q
-
-(* The retained exemplars at or above the [percentile] threshold of
-   their mechanism's own latency histogram, worst first (ties broken by
-   trace id, so the order is deterministic). *)
-let exemplars ?(percentile = 0.99) t =
-  let out = ref [] in
-  Array.iter
-    (fun m ->
-      let mi = mech_index m in
-      if Metrics.observations t.deref_h.(mi) > 0 then begin
-        let threshold = Metrics.quantile t.deref_h.(mi) percentile in
-        for i = 0 to t.ex_n.(mi) - 1 do
-          if t.ex_cy.(mi).(i) >= threshold then
-            out :=
-              {
-                ex_mech = m;
-                ex_cycles = t.ex_cy.(mi).(i);
-                ex_trace_proc = t.ex_tp.(mi).(i);
-                ex_trace_seq = t.ex_ts.(mi).(i);
-              }
-              :: !out
-        done
-      end)
-    mechs;
-  List.sort
-    (fun a b ->
-      if a.ex_cycles <> b.ex_cycles then compare b.ex_cycles a.ex_cycles
-      else
-        compare
-          (a.ex_trace_proc, a.ex_trace_seq)
-          (b.ex_trace_proc, b.ex_trace_seq))
-    !out
 
 (* --- Serialization ----------------------------------------------------- *)
 

@@ -53,6 +53,9 @@ val mech_index : mech -> int
 (** 0 = local, 1 = cache, 2 = migrate, 3 = fallback — the mechanism
     code spans carry in their [b] payload. *)
 
+val mech_of_index : int -> mech
+(** The inverse of {!mech_index}. *)
+
 (** Closures over the running machine, supplied by the driver
     ([Common.execute]); the monitor has no dependency on the machine
     layer, so every layer above [olden_trace] may call into it. *)
@@ -191,28 +194,10 @@ val request_summaries : t -> (string * summary) list
 (** Per request class, sorted by class label; empty outside serving
     runs. *)
 
-(** {2 Exemplars}
-
-    While span tracing is on ({!Olden_span.Span.is_on}), the monitor
-    retains the trace ids of the worst dereference episodes per
-    mechanism (a small fixed number of slots, recorded without
-    allocating), so tail-latency percentiles can be traced back to the
-    concrete causal chains that produced them. *)
-
-type exemplar = {
-  ex_mech : mech;
-  ex_cycles : int;  (** the episode's end-to-end latency *)
-  ex_trace_proc : int;  (** trace id: origin processor... *)
-  ex_trace_seq : int;  (** ...and root sequence number *)
-}
-
-val exemplars : ?percentile:float -> t -> exemplar list
-(** Retained exemplars at or above the [percentile] (default 0.99)
-    threshold of their own mechanism's latency histogram, worst first;
-    deterministic order. *)
-
 val deref_quantile : t -> mech -> float -> int
-(** The mechanism's latency quantile ({!Metrics.quantile}). *)
+(** The mechanism's latency quantile ({!Metrics.quantile}): the
+    threshold [olden-run explain] holds the span collector's exemplars
+    ({!Olden_span.Span.retention}) to. *)
 
 (** {2 Serialization} (docs/OBSERVABILITY.md) *)
 

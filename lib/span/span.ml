@@ -25,8 +25,8 @@
    and every hot site is guarded by [on sw], one field read of a record
    they already hold ([is_on ()] adds a [Domain.DLS.get], for cold
    callers).  The sink has two consumers with different cost budgets:
-   the collector (allocates one record per span, only for export/tests)
-   and the flight recorder ({!Flight}, a fixed int ring that is
+   the collector (allocates one record per kept span, for export, explain
+   and tests) and the flight recorder ({!Flight}, a fixed int ring that is
    allocation-free and can stay on for whole chaos runs).  [on] is true
    when either is active. *)
 
@@ -147,9 +147,90 @@ let is_root = function Deref | Return | Request -> true | _ -> false
 
 (* --- Collector ----------------------------------------------------------- *)
 
-(* The export consumer keeps every span record, in fixed-size chunks: an
-   [add] never copies what is already held and never boxes a slot.
-   [spans] blits the chunks into one array of exact size. *)
+(* The export consumer keeps span records in fixed-size chunks: an [add]
+   never copies what is already held and never boxes a slot.  [spans]
+   blits the chunks into one array of exact size.
+
+   Retention.  Most dereferences are local or software-cache hits that
+   complete in place in a few cycles; materializing each as an 11-word
+   record is what made the stream unbounded.  So a [Deref] root whose
+   mechanism is local or cache, that has a site, and that emitted no
+   child span is *folded*: it adds one to its (site, mechanism) counter
+   and its cycles to that counter's total, in flat int arrays indexed by
+   [sid * 2 + mech] — no allocation, no lookup.  Every other root, and
+   every child span, is kept.
+
+   Exemplars.  Per mechanism, a {!Tail} holds the trace ids of the worst
+   [Tail.slots] [Deref] roots.  A root that enters its tail is kept even
+   when it could fold, so every exemplar names a root in the stream. *)
+
+type fold = { site : int; mech : int; count : int; cycles : int }
+
+type exemplar = {
+  ex_mech : int;
+  ex_cycles : int;
+  ex_trace_proc : int;
+  ex_trace_seq : int;
+}
+
+type retention = { folds : fold array; exemplars : exemplar list }
+
+(* Keep the worst [slots] episodes: append while there is room, then
+   displace the first smallest held entry when a new episode is strictly
+   worse.  The first smallest slot is cached ([low]) and found again only
+   after a displacement, so a rejected episode costs one comparison. *)
+module Tail = struct
+  let slots = 16
+
+  type t = {
+    cy : int array; (* episode cycles per slot *)
+    tp : int array; (* trace proc per slot *)
+    ts : int array; (* trace seq per slot *)
+    mutable n : int; (* slots in use *)
+    mutable low : int; (* the first smallest slot, once [n = slots] *)
+  }
+
+  let create () =
+    {
+      cy = Array.make slots 0;
+      tp = Array.make slots 0;
+      ts = Array.make slots 0;
+      n = 0;
+      low = 0;
+    }
+
+  let rescan t =
+    let low = ref 0 in
+    for i = 1 to slots - 1 do
+      if t.cy.(i) < t.cy.(!low) then low := i
+    done;
+    t.low <- !low
+
+  let set t i ~cycles ~tp ~ts =
+    t.cy.(i) <- cycles;
+    t.tp.(i) <- tp;
+    t.ts.(i) <- ts
+
+  (* Whether the episode entered the tail. *)
+  let note t ~cycles ~tp ~ts =
+    let n = t.n in
+    if n = slots then
+      cycles > t.cy.(t.low)
+      && begin
+           set t t.low ~cycles ~tp ~ts;
+           rescan t;
+           true
+         end
+    else begin
+      set t n ~cycles ~tp ~ts;
+      t.n <- n + 1;
+      if n + 1 = slots then rescan t;
+      true
+    end
+end
+
+let exemplar_slots = Tail.slots
+
 module Collector = struct
   let chunk_size = 4096
 
@@ -172,10 +253,21 @@ module Collector = struct
     mutable nfull : int;
     mutable cur : span array;
     mutable pos : int; (* next free slot of [cur] *)
+    mutable fold_n : int array; (* folded roots, by sid * 2 + mech *)
+    mutable fold_cy : int array; (* their summed cycles, same index *)
+    tails : Tail.t array; (* exemplar tail per mechanism code *)
   }
 
   let create () =
-    { full = []; nfull = 0; cur = Array.make chunk_size blank; pos = 0 }
+    {
+      full = [];
+      nfull = 0;
+      cur = Array.make chunk_size blank;
+      pos = 0;
+      fold_n = Array.make 512 0;
+      fold_cy = Array.make 512 0;
+      tails = Array.init 4 (fun _ -> Tail.create ());
+    }
 
   let add c sp =
     if c.pos = chunk_size then begin
@@ -197,6 +289,69 @@ module Collector = struct
       c.full;
     Array.blit c.cur 0 out (c.nfull * chunk_size) c.pos;
     out
+
+  (* Cold: a site beyond the counters seen so far. *)
+  let grow c k =
+    let len = max (k + 1) (2 * Array.length c.fold_n) in
+    let widen a =
+      let w = Array.make len 0 in
+      Array.blit a 0 w 0 (Array.length a);
+      w
+    in
+    c.fold_n <- widen c.fold_n;
+    c.fold_cy <- widen c.fold_cy
+
+  (* A closing [Deref] root: note it in its mechanism's tail, then fold
+     it if the retention rule allows.  True when folded (not kept). *)
+  let deref_root c ~tp ~ts ~childless ~t0 ~t1 ~a ~b =
+    let cycles = t1 - t0 in
+    let held = b >= 0 && b < 4 && Tail.note c.tails.(b) ~cycles ~tp ~ts in
+    if held || (not childless) || a < 0 || b < 0 || b > 1 then false
+    else begin
+      let k = (a * 2) + b in
+      if k >= Array.length c.fold_n then grow c k;
+      c.fold_n.(k) <- c.fold_n.(k) + 1;
+      c.fold_cy.(k) <- c.fold_cy.(k) + cycles;
+      true
+    end
+
+  let folds c =
+    let out = ref [] in
+    for k = Array.length c.fold_n - 1 downto 0 do
+      if c.fold_n.(k) > 0 then
+        out :=
+          { site = k / 2; mech = k mod 2; count = c.fold_n.(k);
+            cycles = c.fold_cy.(k) }
+          :: !out
+    done;
+    Array.of_list !out
+
+  (* Every held exemplar, worst first, ties broken by trace id. *)
+  let exemplars c =
+    let out = ref [] in
+    Array.iteri
+      (fun m (t : Tail.t) ->
+        for i = 0 to t.n - 1 do
+          out :=
+            {
+              ex_mech = m;
+              ex_cycles = t.cy.(i);
+              ex_trace_proc = t.tp.(i);
+              ex_trace_seq = t.ts.(i);
+            }
+            :: !out
+        done)
+      c.tails;
+    List.sort
+      (fun a b ->
+        if a.ex_cycles <> b.ex_cycles then compare b.ex_cycles a.ex_cycles
+        else
+          compare
+            (a.ex_trace_proc, a.ex_trace_seq)
+            (b.ex_trace_proc, b.ex_trace_seq))
+      !out
+
+  let retention c = { folds = folds c; exemplars = exemplars c }
 end
 
 (* --- The sink ----------------------------------------------------------- *)
@@ -325,7 +480,15 @@ let restore g s =
   g.root_proc <- s.s_rproc;
   g.root_kind <- s.s_rkind
 
-let clear g = restore g no_ctx
+(* [restore g no_ctx], written out: it runs on every root close. *)
+let clear g =
+  g.ctx_tp <- -1;
+  g.ctx_ts <- -1;
+  g.ctx_parent <- -1;
+  g.root_id <- -1;
+  g.root_t0 <- 0;
+  g.root_proc <- -1;
+  g.root_kind <- Deref
 
 let reset () =
   let g = state () in
@@ -335,7 +498,6 @@ let reset () =
   Array.fill g.last_span 0 max_procs (-1)
 
 let trace_proc g = g.ctx_tp
-let trace_seq g = g.ctx_ts
 let parent () = (state ()).ctx_parent
 let root_open g = g.root_id >= 0
 
@@ -346,27 +508,22 @@ let last_span_on proc =
 
 (* The collector consumer allocates the record; the flight recorder
    stores raw ints.  Guarding each consumer separately keeps the
-   flight-only path (chaos runs) allocation-free. *)
-let emit_raw g ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
+   flight-only path (chaos runs) allocation-free.  [note] is everything
+   but the collector: what a folded root still does. *)
+let note g ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
   if proc >= 0 && proc < max_procs then g.last_span.(proc) <- id;
   if Flight.enabled g.flight then
     Flight.note g.flight ~tp ~ts ~id ~parent ~kind:(kind_code kind) ~proc ~t0
-      ~t1 ~a ~b;
+      ~t1 ~a ~b
+
+let keep c ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
+  Collector.add c
+    { trace_proc = tp; trace_seq = ts; id; parent; kind; proc; t0; t1; a; b }
+
+let emit_raw g ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
+  note g ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b;
   match g.collector with
-  | Some c ->
-      Collector.add c
-        {
-          trace_proc = tp;
-          trace_seq = ts;
-          id;
-          parent;
-          kind;
-          proc;
-          t0;
-          t1;
-          a;
-          b;
-        }
+  | Some c -> keep c ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b
   | None -> ()
 
 let fresh_id g =
@@ -386,10 +543,24 @@ let open_root g ~kind ~proc ~t0 =
   g.root_proc <- proc;
   g.root_kind <- kind
 
+(* A root is childless when no span id was handed out since it opened:
+   the local and cache episodes the collector may fold complete in
+   place, so nothing else can take an id in between. *)
 let close_root g ~t1 ~a ~b =
-  if g.root_id >= 0 then begin
-    emit_raw g ~tp:g.ctx_tp ~ts:g.ctx_ts ~id:g.root_id ~parent:(-1)
-      ~kind:g.root_kind ~proc:g.root_proc ~t0:g.root_t0 ~t1 ~a ~b;
+  let id = g.root_id in
+  if id >= 0 then begin
+    let tp = g.ctx_tp and ts = g.ctx_ts and kind = g.root_kind in
+    let proc = g.root_proc and t0 = g.root_t0 in
+    note g ~tp ~ts ~id ~parent:(-1) ~kind ~proc ~t0 ~t1 ~a ~b;
+    (match g.collector with
+    | None -> ()
+    | Some c -> (
+        match kind with
+        | Deref
+          when Collector.deref_root c ~tp ~ts
+                 ~childless:(g.next_id = id + 1) ~t0 ~t1 ~a ~b ->
+            ()
+        | _ -> keep c ~tp ~ts ~id ~parent:(-1) ~kind ~proc ~t0 ~t1 ~a ~b));
     clear g
   end
 
@@ -431,9 +602,9 @@ let collect f =
   install c;
   Fun.protect ~finally:uninstall (fun () ->
       let result = f () in
-      (result, Collector.spans c))
+      (result, Collector.spans c, Collector.retention c))
 
-(* --- olden-spans/v1 JSONL ------------------------------------------------ *)
+(* --- olden-spans/v2 JSONL ------------------------------------------------ *)
 
 let trace_label tp ts = string_of_int tp ^ ":" ^ string_of_int ts
 
@@ -451,20 +622,36 @@ let span_json sp =
       ("b", Json.Int sp.b);
     ]
 
-let jsonl spans =
+let fold_json f =
+  Json.Obj
+    [
+      ( "fold",
+        Json.Obj
+          [
+            ("site", Json.Int f.site);
+            ("mech", Json.String (if f.mech = 0 then "local" else "cache"));
+            ("count", Json.Int f.count);
+            ("cycles", Json.Int f.cycles);
+          ] );
+    ]
+
+let folded folds = Array.fold_left (fun n f -> n + f.count) 0 folds
+
+let jsonl ~folds spans =
   let b = Buffer.create 4096 in
-  Json.to_buffer b
+  let line j =
+    Json.to_buffer b j;
+    Buffer.add_char b '\n'
+  in
+  line
     (Json.Obj
        [
-         ("schema", Json.String "olden-spans/v1");
+         ("schema", Json.String "olden-spans/v2");
          ("spans", Json.Int (Array.length spans));
+         ("folded", Json.Int (folded folds));
        ]);
-  Buffer.add_char b '\n';
-  Array.iter
-    (fun sp ->
-      Json.to_buffer b (span_json sp);
-      Buffer.add_char b '\n')
-    spans;
+  Array.iter (fun sp -> line (span_json sp)) spans;
+  Array.iter (fun f -> line (fold_json f)) folds;
   Buffer.contents b
 
 (* --- Chrome trace_event export ------------------------------------------ *)
@@ -550,7 +737,7 @@ let chrome_json ~nprocs spans =
       ( "otherData",
         Json.Obj
           [
-            ("schema", Json.String "olden-spans/v1");
+            ("schema", Json.String "olden-spans/v2");
             ("time_unit", Json.String "simulated cycles (shown as us)");
           ] );
     ]

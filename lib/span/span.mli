@@ -4,9 +4,10 @@
     legs, return stubs, retransmits, recovery messages, and crash
     replays form one causal tree per episode.  Zero-cost when off: one
     boolean load per hook.  On, a dereference that completes in place
-    allocates only the {!span} record the collector keeps, and the hooks
-    the engine calls once per dereference take its captured {!switch},
-    so they make no domain-local lookup. *)
+    allocates a {!span} record only if the collector keeps its root (see
+    {!section-retention}), and the hooks the engine calls once per
+    dereference take its captured {!switch}, so they make no
+    domain-local lookup. *)
 
 module Json = Olden_trace.Json
 
@@ -72,10 +73,52 @@ val is_on : unit -> bool
 (** [on (switch ())]: one [Domain.DLS.get] plus a field read, for cold
     callers that hold no switch. *)
 
+(** {1:retention Retention}
+
+    The collector does not keep every span.  A [Deref] root whose
+    mechanism is local (0) or cache (1), that has a site ([a >= 0]), and
+    that has no child span is {e folded}: it adds one to its
+    (site, mechanism) counter and its cycles to that counter's total
+    instead of becoming a record.  It still takes its span id and trace
+    sequence number, and still reaches {!last_span_on} and the flight
+    recorder, so every kept span is the one an unfolded stream would
+    hold.  Other roots, roots with children, and child spans are always
+    kept.
+
+    Per mechanism the collector also holds the worst {!exemplar_slots}
+    [Deref] roots (append while there is room, then displace the first
+    smallest held root only when the new one is strictly worse).  A root
+    that enters this tail is kept even when it could fold, so every
+    exemplar names a root in the stream. *)
+
+type fold = {
+  site : int;
+  mech : int;  (** 0 = local, 1 = cache *)
+  count : int;  (** roots folded *)
+  cycles : int;  (** their summed durations *)
+}
+
+type exemplar = {
+  ex_mech : int;  (** mechanism code, as in a [Deref] root's [b] *)
+  ex_cycles : int;  (** the root's duration *)
+  ex_trace_proc : int;  (** trace id: origin processor... *)
+  ex_trace_seq : int;  (** ...and root sequence number *)
+}
+
+type retention = {
+  folds : fold array;  (** counters with [count > 0], in (site, mech) order *)
+  exemplars : exemplar list;
+      (** every held exemplar, worst first, ties broken by trace id *)
+}
+
+val exemplar_slots : int
+(** Exemplars held per mechanism. *)
+
 module Collector : sig
   type t
-  (** Every span emitted while installed, in emission order, held in
-      fixed-size chunks: adding never copies earlier spans. *)
+  (** The kept spans in emission order, held in fixed-size chunks:
+      adding never copies earlier spans; plus the fold counters and the
+      exemplar tails. *)
 
   val chunk_size : int
   (** Spans per chunk. *)
@@ -84,7 +127,9 @@ module Collector : sig
   val length : t -> int
 
   val spans : t -> span array
-  (** The spans in emission order, in one array of exact size. *)
+  (** The kept spans in emission order, in one array of exact size. *)
+
+  val retention : t -> retention
 end
 
 val install : Collector.t -> unit
@@ -161,10 +206,7 @@ val exit_emit :
     the parent. *)
 
 val trace_proc : switch -> int
-(** Trace id of the episode in flight (-1 when none) — how [Monitor]
-    links exemplars to spans. *)
-
-val trace_seq : switch -> int
+(** Origin processor of the episode in flight (-1 when none). *)
 
 val last_span_on : int -> int
 (** Last span id emitted on a processor (-1 if none) — surfaces in the
@@ -172,21 +214,28 @@ val last_span_on : int -> int
 
 (** {1 Collection & export} *)
 
-val collect : (unit -> 'a) -> 'a * span array
-(** Run [f] with a fresh collector installed; returns its result and the
-    spans in emission order.
+val collect : (unit -> 'a) -> 'a * span array * retention
+(** Run [f] with a fresh collector installed; returns its result, the
+    kept spans in emission order, and the folds and exemplars.
     @raise Invalid_argument if a collector is already installed. *)
 
 val span_json : span -> Json.t
 
-val jsonl : span array -> string
-(** The byte-stable [olden-spans/v1] export: a schema header line, then
-    one span object per line in emission order. *)
+val folded : fold array -> int
+(** The roots the counters account for: the sum of their [count]s. *)
+
+val jsonl : folds:fold array -> span array -> string
+(** The byte-stable [olden-spans/v2] export: a header line
+    [{"schema":"olden-spans/v2","spans":K,"folded":F}] ([F] the folded
+    roots), the [K] kept spans one per line in emission order, then one
+    [{"fold":{"site":s,"mech":"local"|"cache","count":n,"cycles":c}}]
+    line per counter in (site, mech) order. *)
 
 val chrome_json : nprocs:int -> span array -> Json.t
 val chrome_to_string : nprocs:int -> span array -> string
-(** Chrome trace_event export: complete slices per processor track plus
-    flow arrows where a child span runs on a different processor. *)
+(** Chrome trace_event export of the kept spans (folded roots are not
+    drawn): complete slices per processor track plus flow arrows where a
+    child span runs on a different processor. *)
 
 (** {1 Episode reconstruction} *)
 

@@ -73,7 +73,7 @@ let histogram t ?(labels = []) name =
    bucket [i] holds [v <= 2^i - 1].  A binary search over shifts with
    local refs the compiler keeps in registers, so [observe] allocates
    nothing. *)
-let bucket_of v =
+let bit_length v =
   if v <= 0 then 0
   else begin
     let x = ref v and n = ref 1 in
@@ -85,6 +85,13 @@ let bucket_of v =
     if !x lsr 1 <> 0 then n := !n + 1;
     if !n >= buckets_count then buckets_count - 1 else !n
   end
+
+(* Most observations are a few cycles: read their bucket from a table. *)
+let small_buckets = String.init 256 (fun v -> Char.chr (bit_length v))
+
+let bucket_of v =
+  if v land lnot 255 = 0 then Char.code (String.unsafe_get small_buckets v)
+  else bit_length v
 
 let observe h v =
   h.observations <- h.observations + 1;

@@ -16,12 +16,12 @@ let () =
   let cfg = Config.make ~nprocs:2 () in
   match mode with
   | "spans" ->
-      let o, spans =
+      let o, spans, r =
         Span.collect (fun () ->
             B.Treeadd.spec.B.Common.run cfg ~scale:1_000_000)
       in
       assert o.B.Common.ok;
-      print_string (Span.jsonl spans)
+      print_string (Span.jsonl ~folds:r.Span.folds spans)
   | _ ->
       let o, events =
         Trace.collect (fun () ->

@@ -311,11 +311,11 @@ let test_run_twice sched () =
 let spans_jsonl (s : B.Common.spec) =
   Site.reset ();
   let cfg = Config.make ~nprocs:8 () in
-  let o, spans =
+  let o, spans, kept =
     Span.collect (fun () -> s.B.Common.run cfg ~scale:(test_scale s))
   in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
-  Span.jsonl spans
+  Span.jsonl ~folds:kept.Span.folds spans
 
 let timeseries_jsonl (s : B.Common.spec) =
   Site.reset ();

@@ -1,7 +1,9 @@
 (* Causal span tracing: the golden 2-processor treeadd span tree, byte
-   determinism of the olden-spans/v1 export across all ten benchmarks,
+   determinism of the olden-spans/v2 export across all ten benchmarks,
    exemplar trace ids naming real completed episodes whose root duration
-   is the recorded latency, exact hop tiling of migration episodes, the
+   is the recorded latency, the exemplar tail against the 16-slot scan it
+   replaced, kept plus folded roots accounting for every dereference the
+   monitor saw, exact hop tiling of migration episodes, the
    flight-recorder dump on a forced deadlock, zero perturbation of the
    simulation whether tracing is on or off, and the observability
    switches an engine captures at [create]: sinks installed after it
@@ -40,23 +42,23 @@ let spanned ?faults ?(nprocs = 8) ?(coherence = Config.Local)
     (s : B.Common.spec) =
   Site.reset ();
   let cfg = Config.make ~nprocs ~coherence ?faults () in
-  let o, spans =
+  let o, spans, kept =
     Span.collect (fun () -> s.B.Common.run cfg ~scale:(test_scale s))
   in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
-  (o, spans)
+  (o, spans, kept)
 
 (* --- Golden 2-processor treeadd span tree -------------------------------- *)
 
 let run_treeadd () =
   Site.reset ();
   let cfg = Config.make ~nprocs:2 () in
-  let o, spans =
+  let o, spans, kept =
     Span.collect (fun () ->
         B.Treeadd.spec.B.Common.run cfg ~scale:1_000_000)
   in
   check bool "verified" true o.B.Common.ok;
-  spans
+  (spans, kept)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -65,12 +67,13 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let test_golden () =
-  let got = Span.jsonl (run_treeadd ()) in
+  let spans, kept = run_treeadd () in
+  let got = Span.jsonl ~folds:kept.Span.folds spans in
   let want = read_file "golden/treeadd_p2_spans.jsonl" in
   check string "matches the committed golden span stream" want got
 
 let test_treeadd_stream () =
-  let spans = run_treeadd () in
+  let spans, _ = run_treeadd () in
   check bool "spans emitted" true (Array.length spans > 0);
   let count p =
     Array.fold_left (fun n s -> if p s then n + 1 else n) 0 spans
@@ -98,7 +101,7 @@ let test_treeadd_stream () =
 (* MST's accumulation phase sends return stubs home: their roots carry
    the same propagated hop chain as migrations. *)
 let test_return_stub_roots () =
-  let _, spans = spanned (spec "MST") in
+  let _, spans, _ = spanned (spec "MST") in
   let returns =
     Array.to_list spans
     |> List.filter (fun (s : Span.span) -> s.Span.kind = Span.Return)
@@ -120,11 +123,12 @@ let test_return_stub_roots () =
 let test_run_twice_byte_identical () =
   List.iter
     (fun (s : B.Common.spec) ->
-      let _, spans1 = spanned s in
-      let _, spans2 = spanned s in
+      let _, spans1, kept1 = spanned s in
+      let _, spans2, kept2 = spanned s in
       check string
-        (s.B.Common.name ^ " olden-spans/v1 byte-identical")
-        (Span.jsonl spans1) (Span.jsonl spans2))
+        (s.B.Common.name ^ " olden-spans/v2 byte-identical")
+        (Span.jsonl ~folds:kept1.Span.folds spans1)
+        (Span.jsonl ~folds:kept2.Span.folds spans2))
     B.Registry.specs
 
 (* --- Exemplars name real episodes ----------------------------------------- *)
@@ -136,7 +140,7 @@ let monitored_spanned ?faults ?(nprocs = 8) ?(coherence = Config.Local)
   Site.reset ();
   let cfg = Config.make ~nprocs ~coherence ?faults () in
   (B.Common.hooks ()).monitor_interval <- Some 10_000;
-  let o, spans =
+  let o, spans, kept =
     Fun.protect
       ~finally:(fun () -> (B.Common.hooks ()).monitor_interval <- None)
       (fun () ->
@@ -145,7 +149,7 @@ let monitored_spanned ?faults ?(nprocs = 8) ?(coherence = Config.Local)
   let m = Option.get (B.Common.hooks ()).last_monitor in
   (B.Common.hooks ()).last_monitor <- None;
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
-  (m, spans)
+  (m, spans, kept)
 
 let root_of spans ~trace_proc ~trace_seq =
   Array.fold_left
@@ -158,47 +162,226 @@ let root_of spans ~trace_proc ~trace_seq =
       else acc)
     None spans
 
-let check_exemplars name (m : Monitor.t) spans =
-  let exemplars = Monitor.exemplars ~percentile:0.99 m in
-  check bool (name ^ " retained exemplars") true (exemplars <> []);
+(* Every exemplar the collector holds names a kept dereference root
+   whose duration is its latency, and the p99 filter [olden-run explain]
+   applies leaves some. *)
+let check_exemplars name (m : Monitor.t) spans (kept : Span.retention) =
+  let tail =
+    List.filter
+      (fun (e : Span.exemplar) ->
+        e.Span.ex_cycles
+        >= Monitor.deref_quantile m
+             (Monitor.mech_of_index e.Span.ex_mech)
+             0.99)
+      kept.Span.exemplars
+  in
+  check bool (name ^ " exemplars at or above p99") true (tail <> []);
   List.iter
-    (fun (e : Monitor.exemplar) ->
+    (fun (e : Span.exemplar) ->
       match
-        root_of spans ~trace_proc:e.Monitor.ex_trace_proc
-          ~trace_seq:e.Monitor.ex_trace_seq
+        root_of spans ~trace_proc:e.Span.ex_trace_proc
+          ~trace_seq:e.Span.ex_trace_seq
       with
       | None ->
           Alcotest.failf "%s: exemplar trace %d:%d has no completed root"
-            name e.Monitor.ex_trace_proc e.Monitor.ex_trace_seq
+            name e.Span.ex_trace_proc e.Span.ex_trace_seq
       | Some root ->
           check bool (name ^ " exemplar root is a dereference") true
             (root.Span.kind = Span.Deref);
           check int
             (name ^ " exemplar latency equals the root span duration")
-            e.Monitor.ex_cycles
+            e.Span.ex_cycles
             (root.Span.t1 - root.Span.t0);
           check int
             (name ^ " exemplar mechanism matches the root")
-            (Monitor.mech_index e.Monitor.ex_mech)
-            root.Span.b)
-    exemplars
+            e.Span.ex_mech root.Span.b)
+    kept.Span.exemplars
 
 let test_exemplars_real () =
-  let m, spans =
+  let m, spans, kept =
     monitored_spanned ~faults:(Config.Faults.mixed ~seed:1 ()) (spec "EM3D")
   in
-  check_exemplars "em3d/mix" m spans;
-  let m, spans =
+  check_exemplars "em3d/mix" m spans kept;
+  let m, spans, kept =
     monitored_spanned
       ~faults:(Config.Faults.crash_mix ~seed:2 ())
       ~coherence:Config.Global (spec "Health")
   in
-  check_exemplars "health/crash-mix" m spans
+  check_exemplars "health/crash-mix" m spans kept
+
+(* --- Retention ------------------------------------------------------------ *)
+
+(* The 16-slot scan the monitor used to run on every dereference: append
+   while there is room, else replace the first smallest held entry when
+   the new one is strictly worse.  Kept as the reference for the
+   collector's cached-minimum tail. *)
+let reference_tail stream =
+  let slots = Span.exemplar_slots in
+  let n = Array.make 4 0 in
+  let cy = Array.make_matrix 4 slots 0 in
+  let tr = Array.make_matrix 4 slots (0, 0) in
+  let entered =
+    List.map
+      (fun (m, cycles, trace) ->
+        if n.(m) < slots then begin
+          cy.(m).(n.(m)) <- cycles;
+          tr.(m).(n.(m)) <- trace;
+          n.(m) <- n.(m) + 1;
+          true
+        end
+        else begin
+          let worst = ref 0 in
+          for i = 1 to n.(m) - 1 do
+            if cy.(m).(i) < cy.(m).(!worst) then worst := i
+          done;
+          if cycles > cy.(m).(!worst) then begin
+            cy.(m).(!worst) <- cycles;
+            tr.(m).(!worst) <- trace;
+            true
+          end
+          else false
+        end)
+      stream
+  in
+  let held =
+    List.concat
+      (List.init 4 (fun m ->
+           List.init n.(m) (fun i ->
+               let tp, ts = tr.(m).(i) in
+               (cy.(m).(i), tp, ts, m))))
+    |> List.sort (fun (c1, tp1, ts1, _) (c2, tp2, ts2, _) ->
+           if c1 <> c2 then compare c2 c1 else compare (tp1, ts1) (tp2, ts2))
+  in
+  (entered, held)
+
+(* Streams of (mechanism, cycles): ties, fewer than 16 per mechanism,
+   all-equal and rising values. *)
+let stream_gen =
+  let open QCheck.Gen in
+  let cycles =
+    oneof
+      [
+        list_size (int_range 0 120) (int_range 0 5);
+        list_size (int_range 0 15) (int_range 0 1000);
+        map2 (fun n v -> List.init n (fun _ -> v)) (int_range 0 80) (int_range 0 9);
+        map (fun n -> List.init n Fun.id) (int_range 0 120);
+      ]
+  in
+  cycles >>= fun cs ->
+  map (fun ms -> List.combine ms cs) (list_repeat (List.length cs) (int_range 0 3))
+
+(* Drive the collector with synthetic dereference roots: root [i] opens
+   on processor [i mod 3], has a child span when [i mod 7 = 3], and has
+   no site when [i mod 11 = 5].  Held exemplars must match the reference
+   scan, and exactly the roots that entered the tail, had a child, had
+   no site, or are not local/cache must be kept. *)
+let prop_tail_matches_scan =
+  QCheck.Test.make ~count:300 ~name:"exemplar tail matches the 16-slot scan"
+    (QCheck.make stream_gen) (fun stream ->
+      Span.reset ();
+      let sw = Span.switch () in
+      let seq = Array.make 3 0 in
+      let (), spans, kept =
+        Span.collect (fun () ->
+            List.iteri
+              (fun i (m, cycles) ->
+                Span.open_root sw ~kind:Span.Deref ~proc:(i mod 3) ~t0:0;
+                if i mod 7 = 3 then
+                  Span.child ~kind:Span.Rpc ~proc:0 ~t0:0 ~t1:0 ~a:0 ~b:0;
+                Span.close_root sw ~t1:cycles
+                  ~a:(if i mod 11 = 5 then -1 else i mod 5)
+                  ~b:m)
+              stream)
+      in
+      let traced =
+        List.mapi
+          (fun i (m, cycles) ->
+            let p = i mod 3 in
+            let ts = seq.(p) in
+            seq.(p) <- ts + 1;
+            (m, cycles, (p, ts)))
+          stream
+      in
+      let entered, held = reference_tail traced in
+      let got =
+        List.map
+          (fun (e : Span.exemplar) ->
+            (e.Span.ex_cycles, e.Span.ex_trace_proc, e.Span.ex_trace_seq,
+             e.Span.ex_mech))
+          kept.Span.exemplars
+      in
+      let want_kept =
+        List.concat
+          (List.mapi
+             (fun i ((m, _, trace), entered) ->
+               if entered || i mod 7 = 3 || i mod 11 = 5 || m > 1 then [ trace ]
+               else [])
+             (List.combine traced entered))
+      in
+      let got_kept =
+        Array.to_list spans
+        |> List.filter_map (fun (s : Span.span) ->
+               if s.Span.kind = Span.Deref then
+                 Some (s.Span.trace_proc, s.Span.trace_seq)
+               else None)
+      in
+      let folded_cycles =
+        Array.fold_left (fun n (f : Span.fold) -> n + f.Span.cycles) 0
+          kept.Span.folds
+      in
+      let kept_cycles =
+        Array.fold_left
+          (fun n (s : Span.span) ->
+            if s.Span.kind = Span.Deref then n + s.Span.t1 - s.Span.t0 else n)
+          0 spans
+      in
+      got = held && got_kept = want_kept
+      && Span.folded kept.Span.folds + List.length got_kept
+         = List.length stream
+      && folded_cycles + kept_cycles
+         = List.fold_left (fun n (_, c) -> n + c) 0 stream)
+
+(* Per mechanism, the kept dereference roots plus the folded counters are
+   exactly the dereferences the monitor observed, cycle for cycle. *)
+let test_fold_accounting () =
+  List.iter
+    (fun (s : B.Common.spec) ->
+      let m, spans, kept = monitored_spanned s in
+      let observed = Monitor.deref_summaries m in
+      for mech = 0 to 3 do
+        let name = Monitor.mech_name (Monitor.mech_of_index mech) in
+        let count, sum =
+          match List.assoc_opt name observed with
+          | Some (x : Monitor.summary) -> (x.Monitor.count, x.Monitor.sum)
+          | None -> (0, 0)
+        in
+        let roots, root_cy =
+          Array.fold_left
+            (fun (n, c) (sp : Span.span) ->
+              if sp.Span.kind = Span.Deref && sp.Span.b = mech then
+                (n + 1, c + sp.Span.t1 - sp.Span.t0)
+              else (n, c))
+            (0, 0) spans
+        in
+        let folds, fold_cy =
+          Array.fold_left
+            (fun (n, c) (f : Span.fold) ->
+              if f.Span.mech = mech then (n + f.Span.count, c + f.Span.cycles)
+              else (n, c))
+            (0, 0) kept.Span.folds
+        in
+        let what = Printf.sprintf "%s %s" s.B.Common.name name in
+        check int (what ^ " roots kept + folded") count (roots + folds);
+        check int (what ^ " cycles kept + folded") sum (root_cy + fold_cy)
+      done)
+    B.Registry.specs
 
 (* --- Hop accounting: the chain tiles the episode -------------------------- *)
 
 let test_hop_tiling () =
-  let _, spans = spanned ~faults:(Config.Faults.mixed ~seed:1 ()) (spec "EM3D") in
+  let _, spans, _ =
+    spanned ~faults:(Config.Faults.mixed ~seed:1 ()) (spec "EM3D")
+  in
   let checked = ref 0 in
   Array.iter
     (fun (root : Span.span) ->
@@ -296,7 +479,7 @@ let test_span_neutral () =
   let s = spec "MST" in
   Site.reset ();
   let plain = s.B.Common.run (Config.make ~nprocs:8 ()) ~scale:(test_scale s) in
-  let o, _ = spanned s in
+  let o, _, _ = spanned s in
   check string "checksum unchanged" plain.B.Common.checksum o.B.Common.checksum;
   check int "total cycles unchanged" plain.B.Common.total_cycles
     o.B.Common.total_cycles;
@@ -311,7 +494,7 @@ let test_span_neutral () =
    engine's captured switches must see sinks that arrived later: the
    streams equal the goldens (recorded with [collect] wrapped around the
    whole run), and the monitor saw exactly one latency sample per
-   dereference root. *)
+   dereference root, kept or folded. *)
 let test_sinks_installed_after_create () =
   Site.reset ();
   let h = B.Common.hooks () in
@@ -329,21 +512,24 @@ let test_sinks_installed_after_create () =
   in
   check bool "verified" true o.B.Common.ok;
   let events = Option.get h.last_trace and spans = Option.get h.last_spans in
+  let kept = Option.get h.last_retention in
   let m = Option.get h.last_monitor in
   h.last_trace <- None;
   h.last_spans <- None;
+  h.last_retention <- None;
   h.last_monitor <- None;
   check string "trace stream matches the golden"
     (read_file "golden/treeadd_p2_trace.jsonl")
     (Jsonl.to_string events);
   check string "span stream matches the golden"
     (read_file "golden/treeadd_p2_spans.jsonl")
-    (Span.jsonl spans);
+    (Span.jsonl ~folds:kept.Span.folds spans);
   let deref_roots =
     Array.fold_left
       (fun n (s : Span.span) ->
         if s.Span.parent = -1 && s.Span.kind = Span.Deref then n + 1 else n)
-      0 spans
+      (Span.folded kept.Span.folds)
+      spans
   in
   let recorded =
     List.fold_left
@@ -372,7 +558,7 @@ let test_exec_on_other_domain () =
 (* --- Chrome export ---------------------------------------------------------- *)
 
 let test_chrome_export () =
-  let spans = run_treeadd () in
+  let spans, _ = run_treeadd () in
   let j = Json.of_string (Span.chrome_to_string ~nprocs:2 spans) in
   let events = Json.to_list (Option.get (Json.member "traceEvents" j)) in
   check bool "has events" true (events <> []);
@@ -414,7 +600,7 @@ let test_second_collector_refused () =
 let test_collector_chunks () =
   let n = (3 * Span.Collector.chunk_size) + 17 in
   Span.reset ();
-  let (), spans =
+  let (), spans, _ =
     Span.collect (fun () ->
         for i = 0 to n - 1 do
           Span.child ~kind:Span.Service ~proc:0 ~t0:i ~t1:(i + 1) ~a:i ~b:0
@@ -454,6 +640,9 @@ let suite =
       test_run_twice_byte_identical;
     Alcotest.test_case "exemplars name real episodes" `Quick
       test_exemplars_real;
+    QCheck_alcotest.to_alcotest prop_tail_matches_scan;
+    Alcotest.test_case "kept plus folded roots match the monitor (all ten)"
+      `Slow test_fold_accounting;
     Alcotest.test_case "migration hops tile the episode" `Quick
       test_hop_tiling;
     Alcotest.test_case "flight recorder dumps on deadlock" `Quick
