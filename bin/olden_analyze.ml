@@ -13,6 +13,11 @@ module Trace_ev = Olden_trace.Trace
 module Span = Olden_span.Span
 
 let analyze file run_it procs coherence trace threshold profile spans_file =
+  if run_it && (procs < 1 || procs > C.max_nprocs) then begin
+    Format.eprintf "olden-analyze: --procs must be between 1 and %d (got %d)@."
+      C.max_nprocs procs;
+    exit 2
+  end;
   let src =
     let ic = open_in file in
     let n = in_channel_length ic in
@@ -40,10 +45,7 @@ let analyze file run_it procs coherence trace threshold profile spans_file =
         sel.Olden_compiler.Heuristic.analysis.Olden_compiler.Analysis.loops;
       Format.printf "%a@." Olden_compiler.Heuristic.pp sel;
       if run_it then begin
-        let cfg =
-          let base = C.make ~nprocs:procs () in
-          { base with C.trace }
-        in
+        let cfg = C.make ~nprocs:procs () in
         let coherence =
           match C.coherence_of_string coherence with
           | Some c -> c
@@ -51,26 +53,39 @@ let analyze file run_it procs coherence trace threshold profile spans_file =
         in
         let cfg = { cfg with C.coherence } in
         let compiled = Olden_interp.Interp.compile ~selection:sel prog in
-        let run_spanned f =
-          (* causal spans ride along when --spans asks for them *)
-          match spans_file with
-          | None -> (f (), None)
-          | Some _ ->
-              let r, spans, kept = Span.collect f in
-              (r, Some (spans, kept.Span.folds))
+        (* --profile collects the structured events, --trace streams them
+           to stderr as JSONL, --spans collects causal spans *)
+        let collected =
+          if profile then Some (Trace_ev.Collector.create ()) else None
         in
+        let print ev =
+          output_string stderr
+            (Olden_trace.Json.to_string (Trace_ev.event_json ev) ^ "\n")
+        in
+        let events =
+          match (collected, trace) with
+          | Some c, true ->
+              Some
+                (fun ev ->
+                  Trace_ev.Collector.add c ev;
+                  print ev)
+          | Some c, false -> Some (Trace_ev.Collector.add c)
+          | None, true -> Some print
+          | None, false -> None
+        in
+        let spans =
+          Option.map (fun _ -> Span.Collector.create ()) spans_file
+        in
+        let obs = { Obs.none with events; spans } in
         let run_traced () =
-          if profile then
-            let (result, spans), events =
-              Trace_ev.collect (fun () ->
-                  run_spanned (fun () -> Olden_interp.Interp.run cfg compiled))
-            in
-            (result, Some events, spans)
-          else
-            let result, spans =
-              run_spanned (fun () -> Olden_interp.Interp.run cfg compiled)
-            in
-            (result, None, spans)
+          let result = Olden_interp.Interp.run ~obs cfg compiled in
+          ( result,
+            Option.map Trace_ev.Collector.events collected,
+            Option.map
+              (fun c ->
+                let folds = (Span.Collector.retention c).Span.folds in
+                (Span.Collector.spans c, folds))
+              spans )
         in
         match run_traced () with
         | exception Olden_interp.Interp.Runtime_error msg ->
@@ -132,7 +147,12 @@ let coherence_t =
     & info [ "c"; "coherence" ] ~docv:"SCHEME" ~doc:"Coherence scheme.")
 
 let trace_t =
-  Arg.(value & flag & info [ "trace" ] ~doc:"Trace scheduler events to stderr.")
+  Arg.(
+    value & flag
+    & info [ "trace" ]
+        ~doc:
+          "With --run: write the run's structured trace events to stderr, \
+           one JSON object per line.")
 
 let threshold_t =
   Arg.(

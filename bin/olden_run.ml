@@ -41,8 +41,23 @@ let ppf = Format.std_formatter
 
 (* --- Common options ----------------------------------------------------- *)
 
-let procs_t =
-  Arg.(value & opt int 32 & info [ "p"; "procs" ] ~docv:"P" ~doc:"Processor count.")
+(* --procs is validated by hand, like --domains below: a count the
+   machine cannot hold is a one-line usage error (exit 2), not a crash
+   part-way through the run. *)
+let check_procs n =
+  if n < 1 || n > C.max_nprocs then begin
+    Format.eprintf "olden-run: --procs must be between 1 and %d (got %d)@."
+      C.max_nprocs n;
+    exit 2
+  end;
+  n
+
+let procs_arg ?(doc = "Processor count.") default =
+  Term.(
+    const check_procs
+    $ Arg.(value & opt int default & info [ "p"; "procs" ] ~docv:"P" ~doc))
+
+let procs_t = procs_arg 32
 
 let scale_t =
   Arg.(
@@ -516,10 +531,7 @@ let diff_cmd =
     Term.(const run $ base_t $ current_t $ tolerance_t $ warn_only_t)
 
 let hostperf_procs_t =
-  Arg.(
-    value & opt int 8
-    & info [ "p"; "procs" ] ~docv:"P"
-        ~doc:"Processor count (the suite's committed baseline uses 8).")
+  procs_arg ~doc:"Processor count (the suite's committed baseline uses 8)." 8
 
 let hostperf_cmd =
   let run procs repeats out baseline domains =
@@ -656,8 +668,10 @@ let chaos_cmd =
       in
       (* each faulty run gets its own flight-recorder path, so a
          failure's post-mortem names the run that produced it *)
-      Olden.Span.flight_set_path
-        (Printf.sprintf "flight-%s-%s-%d.dump" spec.B.Common.name sched seed);
+      let flight_path =
+        Printf.sprintf "flight-%s-%s-%d.dump" spec.B.Common.name sched seed
+      in
+      (B.Common.hooks ()).flight_path <- flight_path;
       let violations = ref [] in
       let expected_heap =
         if spec.B.Common.heap_stable then Some ref_digest else None
@@ -671,15 +685,12 @@ let chaos_cmd =
           (fun () -> spec.B.Common.run cfg ~scale:(scale_of spec))
       with
       | exception e ->
-          (* a deadlock already dumped the recorder (with machine state)
-             from inside the engine; dump the retained ring for anything
-             else that escaped *)
+          (* the engine dumped the recorder (with machine state) before
+             the failure escaped; a deadlock's message names the path *)
           let flight =
             match e with
             | Olden_runtime.Engine.Deadlock _ -> None
-            | _ ->
-                Olden.Span.flight_dump ~reason:(Printexc.to_string e)
-                  ~state:[]
+            | _ -> Some flight_path
           in
           Error (Printexc.to_string e, flight)
       | o ->
@@ -764,11 +775,7 @@ let chaos_cmd =
     if !failures > 0 then exit 1
   in
   let names_t = Arg.(value & pos_all string [] & info [] ~docv:"BENCHMARK") in
-  let chaos_procs_t =
-    Arg.(
-      value & opt int 8
-      & info [ "p"; "procs" ] ~docv:"P" ~doc:"Processor count.")
-  in
+  let chaos_procs_t = procs_arg 8 in
   let schedules_t =
     Arg.(
       value
@@ -1760,6 +1767,12 @@ let main =
         (fun ppf () -> B.Breakeven.report ~n:2048 ppf ());
     ]
 
+(* Both failures need a fault schedule, so the run had a flight recorder,
+   and the engine dumped it before the exception escaped. *)
+let flight_dumped () =
+  Format.eprintf "olden-run: flight recorder: %s@."
+    (B.Common.hooks ()).flight_path
+
 (* Exit discipline: usage errors (unknown subcommand, bad flag) leave as a
    clean status 2 after cmdliner's usage message, and expected operational
    failures surface as one-line errors rather than backtraces. *)
@@ -1772,15 +1785,11 @@ let () =
     | Machine.Undeliverable { dst; klass; attempts } ->
         let line = Machine.undeliverable_to_string ~dst ~klass ~attempts in
         Format.eprintf "olden-run: %s@." line;
-        (match Olden.Span.flight_dump ~reason:line ~state:[] with
-        | Some path -> Format.eprintf "olden-run: flight recorder: %s@." path
-        | None -> ());
+        flight_dumped ();
         1
     | Olden_runtime.Engine.Threads_lost msg ->
         Format.eprintf "olden-run: threads lost: %s@." msg;
-        (match Olden.Span.flight_dump ~reason:msg ~state:[] with
-        | Some path -> Format.eprintf "olden-run: flight recorder: %s@." path
-        | None -> ());
+        flight_dumped ();
         1
     | Failure msg | Sys_error msg ->
         Format.eprintf "olden-run: %s@." msg;

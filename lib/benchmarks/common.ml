@@ -78,6 +78,7 @@ type hooks = {
   mutable record_spans : bool;
   mutable last_spans : Span.span array option;
   mutable last_retention : Span.retention option;
+  mutable flight_path : string;
 }
 
 let hooks_key =
@@ -97,6 +98,7 @@ let hooks_key =
         record_spans = false;
         last_spans = None;
         last_retention = None;
+        flight_path = "flight-recorder.dump";
       })
 
 let hooks () = Domain.DLS.get hooks_key
@@ -105,89 +107,43 @@ let hooks () = Domain.DLS.get hooks_key
    the heap directly (at host level, free of simulated cost). *)
 let execute (cfg : C.t) ~(program : Engine.t -> string * bool) : outcome =
   let h = hooks () in
-  let engine = Engine.create cfg in
-  if h.record_timeline then
-    Machine.set_record_intervals (Engine.machine engine) true;
-  let result = ref ("", false) in
-  let span_collector =
+  let spans =
     if h.record_spans then Some (Span.Collector.create ()) else None
   in
-  let collector =
+  let events =
     if h.record_trace then Some (Trace.Collector.create ()) else None
   in
   (* the flight recorder rides along on every faulty run: recording is
-     allocation-free, and a wedged chaos run then leaves a post-mortem
-     behind.  Fault-free runs stay untouched — spans off means not even
-     the one-word guard reads differently from the seed behavior. *)
-  let flight_here = cfg.C.faults <> None && not (Flight.is_enabled ()) in
-  let monitor =
-    Option.map
-      (fun interval ->
-        let machine = Engine.machine engine in
-        let nprocs = Machine.nprocs machine in
-        Monitor.create ~interval ~nprocs
-          ~probe:
-            {
-              Monitor.stats = (fun () -> Stats.fields (Machine.stats machine));
-              busy = (fun () -> Machine.busy_cycles machine);
-              comm = (fun () -> Machine.comm_cycles machine);
-              recovery_stall =
-                (fun () ->
-                  match Engine.recovery engine with
-                  | Some r -> Recovery.stall_cycles r
-                  | None -> Array.make nprocs 0);
-            })
-      h.monitor_interval
+     allocation-free, and a run that fails leaves a post-mortem behind.
+     Fault-free runs stay untouched. *)
+  let flight =
+    if cfg.C.faults <> None then Some (Flight.create ~path:h.flight_path ())
+    else None
   in
-  (* Each sink is installed inside the protected body and noted once in
-     place, so when an install is refused (a collector or monitor is
-     already there) [finally] undoes exactly what came before it. *)
-  let spans_in = ref false
-  and trace_in = ref false
-  and flight_in = ref false
-  and monitor_in = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      if !monitor_in then Monitor.uninstall ();
-      if !spans_in then Span.uninstall ();
-      (* disabling keeps the ring contents: a failure escaping [exec]
-         can still be dumped by the caller's exception handler *)
-      if !flight_in then Span.flight_disable ();
-      if !trace_in then Trace.uninstall ())
-    (fun () ->
-      Option.iter
-        (fun c ->
-          Span.install c;
-          spans_in := true)
-        span_collector;
-      Option.iter
-        (fun c ->
-          Trace.install (Trace.Collector.add c);
-          trace_in := true)
-        collector;
-      if flight_here then begin
-        Span.flight_enable ();
-        flight_in := true
-      end;
-      Option.iter
-        (fun m ->
-          Monitor.install m;
-          monitor_in := true)
-        monitor;
-      Engine.exec engine (fun () -> result := program engine));
-  (match monitor with
+  let obs =
+    {
+      Obs.events = Option.map Trace.Collector.add events;
+      spans;
+      flight;
+      monitor_interval = h.monitor_interval;
+    }
+  in
+  let engine = Engine.create ~obs cfg in
+  if h.record_timeline then
+    Machine.set_record_intervals (Engine.machine engine) true;
+  let result = ref ("", false) in
+  Engine.exec engine (fun () -> result := program engine);
+  (match Engine.monitor engine with
   | Some m ->
       Monitor.finish m ~makespan:(Machine.makespan (Engine.machine engine));
       h.last_monitor <- Some m
   | None -> ());
-  (match collector with
-  | Some c -> h.last_trace <- Some (Trace.Collector.events c)
-  | None -> ());
-  (match span_collector with
-  | Some c ->
+  Option.iter (fun c -> h.last_trace <- Some (Trace.Collector.events c)) events;
+  Option.iter
+    (fun c ->
       h.last_spans <- Some (Span.Collector.spans c);
-      h.last_retention <- Some (Span.Collector.retention c)
-  | None -> ());
+      h.last_retention <- Some (Span.Collector.retention c))
+    spans;
   h.last_busy <- Machine.busy_cycles (Engine.machine engine);
   h.last_clocks <- Machine.clocks (Engine.machine engine);
   h.last_comm <- Machine.comm_cycles (Engine.machine engine);

@@ -54,10 +54,8 @@ type hooks = {
           convenience). *)
   mutable last_timeline : string option;
   mutable record_trace : bool;
-      (** When set, {!execute} installs a trace collector for the run and
-          leaves the event stream in [last_trace].  When clear the sink
-          is left alone, so a caller may wrap the run in [Trace.collect]
-          itself. *)
+      (** When set, {!execute} gives the run a trace collector and
+          leaves the event stream in [last_trace]. *)
   mutable last_trace : Trace.event array option;
   mutable last_busy : int array;
       (** Per-processor busy cycles of the most recent {!execute}. *)
@@ -75,21 +73,21 @@ type hooks = {
           reachable — the hook the chaos harness uses to run the
           invariant checker. *)
   mutable monitor_interval : int option;
-      (** When set, {!execute} creates a {!Monitor} sampling at that
-          simulated-cycle interval, installs it for the run, and leaves
-          the finished monitor (final window flushed) in
-          [last_monitor]. *)
+      (** When set, {!execute} has the engine build a {!Monitor} sampling
+          at that simulated-cycle interval and leaves the finished
+          monitor (final window flushed) in [last_monitor]. *)
   mutable last_monitor : Monitor.t option;
   mutable record_spans : bool;
-      (** When set, {!execute} installs a causal span collector
-          ({!Olden_span.Span}) for the run and leaves the kept spans in
-          [last_spans] and the fold counters and exemplars in
-          [last_retention].  Independently of this flag, any run with a
-          fault schedule enables the allocation-free flight recorder for
-          its duration (contents are retained after the run for
-          post-mortems). *)
+      (** When set, {!execute} gives the run a causal span collector
+          ({!Olden_span.Span}) and leaves the kept spans in [last_spans]
+          and the fold counters and exemplars in [last_retention]. *)
   mutable last_spans : Olden_span.Span.span array option;
   mutable last_retention : Olden_span.Span.retention option;
+  mutable flight_path : string;
+      (** Independently of the flags above, every run with a fault
+          schedule gets an allocation-free flight recorder
+          ({!Olden_span.Flight}); a run that fails dumps it here (default
+          ["flight-recorder.dump"]). *)
 }
 
 val hooks : unit -> hooks
@@ -112,7 +110,10 @@ val metrics_snapshot :
 val execute : C.t -> program:(Engine.t -> string * bool) -> outcome
 (** Run a benchmark program (which receives the engine so verification can
     inspect the heap at host level) and package the outcome; the region
-    after an optional ["kernel"] phase mark is the measured kernel. *)
+    after an optional ["kernel"] phase mark is the measured kernel.  The
+    sinks the hooks ask for are built here and passed to
+    {!Engine.create}: this is the one place benchmark runs get their
+    observability. *)
 
 val sites_of_ir :
   string ->

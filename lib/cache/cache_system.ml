@@ -15,11 +15,12 @@ type t = {
   memory : Memory.t;
   tables : Translation.t array;
   directories : Directory.t array;
-  trace : Trace.switch; (* the creating domain's, guards every emit *)
+  trace : Trace.t; (* the run's emitter, guards every emit *)
 }
 
 let create cfg machine memory =
   let n = cfg.C.nprocs in
+  let trace = (Machine.obs machine).Obs.trace in
   {
     cfg;
     machine;
@@ -33,10 +34,10 @@ let create cfg machine memory =
              clock reads through the home map: after a fail-stop
              failover the directory is served by the promoted backup,
              so its stamps come from the successor's clock. *)
-          Directory.create ~home
+          Directory.create ~home ~trace
             ~clock:(fun () -> Machine.now machine (Machine.home_of machine home))
             ~track_registrations:(cfg.C.faults <> None) ());
-    trace = Trace.switch ();
+    trace;
   }
 
 let table t proc = t.tables.(proc)
@@ -48,9 +49,9 @@ let costs t = t.cfg.C.costs
 (* Stamp an event with [proc]'s clock and the engine-deposited thread /
    site context.  Only ever called under a [Trace.on t.trace] guard. *)
 let emit t ~proc kind =
-  Trace.emit
-    { Trace.time = Machine.now t.machine proc; proc; tid = Trace.thread ();
-      site = Trace.site (); kind }
+  Trace.emit t.trace
+    { Trace.time = Machine.now t.machine proc; proc;
+      tid = Trace.thread t.trace; site = Trace.site t.trace; kind }
 
 (* Locate (or allocate, on first touch) the cache entry on [proc] for the
    page containing word [addr] of processor [home]. *)

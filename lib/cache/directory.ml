@@ -20,7 +20,7 @@ type t = {
   pages : (int, page) Hashtbl.t; (* local page index -> record *)
   home : int; (* which processor's heap section this directory covers *)
   clock : unit -> int; (* the home's cycle clock, for event stamps *)
-  trace : Trace.switch; (* the creating domain's, guards every emit *)
+  trace : Trace.t; (* the run's emitter, guards every emit *)
   registered : (int * int, int) Hashtbl.t option;
       (* (page_index, proc) -> time of the latest sharer registration;
          kept only under a fault schedule, where the recovery checker
@@ -29,22 +29,22 @@ type t = {
 
 (* Standalone directories (tests, tools) need no identity or clock; the
    cache system passes both so directory-side events carry real stamps. *)
-let create ?(home = -1) ?(clock = fun () -> 0) ?(track_registrations = false)
-    () =
+let create ?(home = -1) ?(clock = fun () -> 0) ?(trace = Trace.off)
+    ?(track_registrations = false) () =
   {
     pages = Hashtbl.create 64;
     home;
     clock;
-    trace = Trace.switch ();
+    trace;
     registered = (if track_registrations then Some (Hashtbl.create 64) else None);
   }
 
 (* Home-side bookkeeping runs under the home's identity; thread and site
    context are whatever the engine last deposited. *)
 let emit t kind =
-  Trace.emit
-    { Trace.time = t.clock (); proc = t.home; tid = Trace.thread ();
-      site = Trace.site (); kind }
+  Trace.emit t.trace
+    { Trace.time = t.clock (); proc = t.home; tid = Trace.thread t.trace;
+      site = Trace.site t.trace; kind }
 
 let get t page_index =
   match Hashtbl.find_opt t.pages page_index with

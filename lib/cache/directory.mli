@@ -16,15 +16,18 @@ type page = {
 type t
 
 val create :
-  ?home:int -> ?clock:(unit -> int) -> ?track_registrations:bool -> unit -> t
+  ?home:int ->
+  ?clock:(unit -> int) ->
+  ?trace:Olden_trace.Trace.t ->
+  ?track_registrations:bool ->
+  unit ->
+  t
 (** [home] is the processor whose heap section this directory covers and
-    [clock] its cycle clock; both only stamp the directory's trace
-    events (defaults: [-1] and a clock stuck at 0, fine for tests).
-    [track_registrations] additionally records when each sharer was
-    registered, which the recovery checker's sharer-epoch invariant
-    consumes (default off: it costs a hash write per registration).
-    The calling domain's {!Olden_trace.Trace.switch} is captured here,
-    so a directory emits only on the domain that created it. *)
+    [clock] its cycle clock; both only stamp the events it emits into
+    [trace] (defaults: [-1], a clock stuck at 0 and no emitter, fine for
+    tests).  [track_registrations] additionally records when each sharer
+    was registered, which the recovery checker's sharer-epoch invariant
+    consumes (default off: it costs a hash write per registration). *)
 
 val get : t -> int -> page
 (** The record for a local page index, created on demand. *)

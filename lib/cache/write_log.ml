@@ -27,7 +27,7 @@ let create () =
   }
 
 (* Written-processor masks live in one OCaml int. *)
-let max_procs = Sys.int_size - 1
+let max_procs = Olden_config.max_nprocs
 
 let record t ~gpage ~line ~home =
   if home < 0 || home >= max_procs then

@@ -291,6 +291,5 @@ let check ?expected_heap engine =
        Printf.sprintf "invariant-check failure: [%s] %s"
          (List.hd violations).rule (List.hd violations).detail
      in
-     ignore
-       (Olden_span.Span.flight_dump ~reason ~state:(E.flight_state engine)));
+     ignore (E.flight_dump engine ~reason));
   violations

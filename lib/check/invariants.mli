@@ -29,5 +29,5 @@ val check :
     coherence scheme (the epoch check additionally needs an active
     fault schedule, which is when crash tracking exists); the heap
     comparison only runs when [expected_heap] is given.  A non-empty
-    result triggers a flight-recorder dump
-    ({!Olden_span.Span.flight_dump}) when the recorder is running. *)
+    result dumps the run's flight recorder, if it has one
+    ({!Olden_runtime.Engine.flight_dump}). *)

@@ -372,7 +372,6 @@ type t = {
          the returning thread wrote, instead of flushing *)
   sequential : bool;
       (* baseline mode: one processor, no pointer tests, no future overhead *)
-  trace : bool; (* emit per-event log lines via Logs *)
   seed : int;
   faults : fault_spec option;
       (* None: the reliable network the paper assumes — bit-identical to
@@ -394,17 +393,25 @@ let default =
     handler_contention = false;
     return_invalidate_refinement = true;
     sequential = false;
-    trace = false;
     seed = 0x01de5 land 0xffff;
     faults = None;
     retry = default_retry;
     replication = None;
   }
 
+(* Sets of processors (a write log's written homes, a directory's
+   sharers) are bit masks in one OCaml int, so a machine has at most
+   this many processors. *)
+let max_nprocs = Sys.int_size - 1
+
 let make ?(nprocs = 32) ?(costs = default_costs) ?(coherence = Local)
     ?(policy = Heuristic) ?(handler_contention = false)
-    ?(return_invalidate_refinement = true) ?(trace = false) ?(seed = 42)
-    ?faults ?(retry = default_retry) ?replication () =
+    ?(return_invalidate_refinement = true) ?(seed = 42) ?faults
+    ?(retry = default_retry) ?replication () =
+  if nprocs < 1 || nprocs > max_nprocs then
+    invalid_arg
+      (Printf.sprintf "Olden_config.make: nprocs %d is outside [1, %d]" nprocs
+         max_nprocs);
   (match (faults, replication) with
   | Some f, None when f.failstop > 0. ->
       invalid_arg
@@ -423,7 +430,6 @@ let make ?(nprocs = 32) ?(costs = default_costs) ?(coherence = Local)
     handler_contention;
     return_invalidate_refinement;
     sequential = false;
-    trace;
     seed;
     faults;
     retry;

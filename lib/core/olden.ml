@@ -20,6 +20,7 @@ module Gptr = Gptr
 module Value = Value
 module Memory = Memory
 module Machine = Machine
+module Obs = Obs
 module Stats = Stats
 module Write_log = Olden_cache.Write_log
 module Translation = Olden_cache.Translation
@@ -36,6 +37,7 @@ module Prng = Prng
 module Timeline = Olden_runtime.Timeline
 module Trace = Olden_trace.Trace
 module Span = Olden_span.Span
+module Flight = Olden_span.Flight
 module Monitor = Olden_monitor.Monitor
 module Json = Olden_trace.Json
 module Metrics = Olden_trace.Metrics

@@ -279,13 +279,13 @@ type result = {
   report : Engine.report;
 }
 
-let run ?(entry = "main") ?(args = []) (cfg : Olden_config.t) (c : compiled) :
-    result =
+let run ?(entry = "main") ?(args = []) ?obs (cfg : Olden_config.t)
+    (c : compiled) : result =
   let st =
     { c; prng = Prng.create cfg.Olden_config.seed; out = Buffer.create 256 }
   in
   let ret = ref Value.Nil in
-  let engine = Engine.create cfg in
+  let engine = Engine.create ?obs cfg in
   Engine.exec engine (fun () ->
       let argv = List.map (fun v -> V v) args in
       ret := as_value (apply st entry argv));

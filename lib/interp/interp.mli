@@ -32,9 +32,15 @@ type result = {
   report : Olden_runtime.Engine.report;
 }
 
-val run : ?entry:string -> ?args:Value.t list -> Olden_config.t -> compiled ->
+val run :
+  ?entry:string ->
+  ?args:Value.t list ->
+  ?obs:Obs.sinks ->
+  Olden_config.t ->
+  compiled ->
   result
-(** Execute [entry] (default ["main"]) on the simulated machine.
+(** Execute [entry] (default ["main"]) on the simulated machine,
+    recording into the sinks [obs] names ({!Olden_runtime.Engine.create}).
     @raise Runtime_error on dynamic errors (arity, division by zero, ...).
     @raise Olden_runtime.Engine.Null_dereference on a null dereference. *)
 

@@ -37,12 +37,12 @@ type t = {
   ingress : int array;
       (* open-loop serving requests admitted at each processor; identity
          zero outside serving runs, so batch exports never see it *)
-  trace : Trace.switch;
-  span : Span.switch;
-  monitor : Monitor.switch;
-      (* the creating domain's observability switches: the fault-path
-         hooks and the RPC envelope guard on these, not on a
-         domain-local lookup per message *)
+  obs : Obs.t;
+  trace : Trace.t;
+  span : Span.t;
+  monitor : Monitor.t option;
+      (* [obs]'s parts, held directly so the fault-path hooks and the
+         RPC envelope guard on one field read *)
 }
 
 exception
@@ -55,7 +55,7 @@ let undeliverable_to_string ~dst ~klass ~attempts =
     (Fault_plan.klass_to_string klass)
     dst attempts
 
-let create cfg =
+let create ~obs cfg =
   let n = cfg.Olden_config.nprocs in
   {
     cfg;
@@ -74,14 +74,16 @@ let create cfg =
     intervals = [];
     record_intervals = false;
     ingress = Array.make n 0;
-    trace = Trace.switch ();
-    span = Span.switch ();
-    monitor = Monitor.switch ();
+    obs;
+    trace = obs.Obs.trace;
+    span = obs.Obs.span;
+    monitor = obs.Obs.monitor;
   }
 
 let set_record_intervals t flag = t.record_intervals <- flag
 let busy_intervals t = List.rev t.intervals
 
+let obs t = t.obs
 let nprocs t = t.cfg.Olden_config.nprocs
 let costs t = t.cfg.Olden_config.costs
 let stats t = t.stats
@@ -162,27 +164,33 @@ let stall t proc cycles =
 (* --- Fault bookkeeping helpers -------------------------------------- *)
 
 (* Trace events for faults reuse the emitter's thread/site context; every
-   call site guards on the trace switch via these helpers. *)
+   call site guards on the run's emitter via these helpers. *)
 let emit_fault t ~proc ~time kind =
   if Trace.on t.trace then
-    Trace.emit
-      { Trace.time; proc; tid = Trace.thread (); site = Trace.site (); kind }
+    Trace.emit t.trace
+      {
+        Trace.time;
+        proc;
+        tid = Trace.thread t.trace;
+        site = Trace.site t.trace;
+        kind;
+      }
 
 let note_drop t ~dst ~time ~attempt ~outage =
   t.stats.Stats.msg_drops <- t.stats.Stats.msg_drops + 1;
   if outage then t.stats.Stats.outage_drops <- t.stats.Stats.outage_drops + 1;
   emit_fault t ~proc:dst ~time (Trace.Fault_drop { dst; attempt; outage });
   if Span.on t.span then
-    Span.child ~kind:Span.Drop ~proc:dst ~t0:time ~t1:time ~a:attempt
-      ~b:(if outage then 1 else 0)
+    Span.child_in t.span ~kind:Span.Drop ~proc:dst ~t0:time ~t1:time
+      ~a:attempt ~b:(if outage then 1 else 0)
 
 let note_delay t ~dst ~time ~cycles =
   if cycles > 0 then begin
     t.stats.Stats.msg_delays <- t.stats.Stats.msg_delays + 1;
     emit_fault t ~proc:dst ~time (Trace.Fault_delay { dst; cycles });
     if Span.on t.span then
-      Span.child ~kind:Span.Delay ~proc:dst ~t0:(time - cycles) ~t1:time
-        ~a:cycles ~b:0
+      Span.child_in t.span ~kind:Span.Delay ~proc:dst ~t0:(time - cycles)
+        ~t1:time ~a:cycles ~b:0
   end
 
 (* A duplicate delivery: the receiver's sequence-number check discards it.
@@ -198,7 +206,7 @@ let note_suppressed t ~dst ~time =
     t.stats.Stats.duplicates_suppressed + 1;
   emit_fault t ~proc:dst ~time (Trace.Fault_dup { dst });
   if Span.on t.span then
-    Span.child ~kind:Span.Dup ~proc:dst ~t0:time ~t1:time ~a:0 ~b:0
+    Span.child_in t.span ~kind:Span.Dup ~proc:dst ~t0:time ~t1:time ~a:0 ~b:0
 
 let note_duplicate t ~dst ~time =
   t.stats.Stats.messages <- t.stats.Stats.messages + 1;
@@ -214,9 +222,11 @@ let note_retry t plan ~dst ~klass ~time ~attempt =
   t.stats.Stats.retry_cycles <- t.stats.Stats.retry_cycles + wait;
   emit_fault t ~proc:dst ~time (Trace.Retry { dst; attempt; wait });
   if Span.on t.span then
-    Span.child ~kind:Span.Backoff ~proc:dst ~t0:time ~t1:(time + wait)
-      ~a:attempt ~b:wait;
-  if Monitor.on t.monitor then Monitor.retry_wait ~cycles:wait;
+    Span.child_in t.span ~kind:Span.Backoff ~proc:dst ~t0:time
+      ~t1:(time + wait) ~a:attempt ~b:wait;
+  (match t.monitor with
+  | Some m -> Monitor.retry_wait m ~cycles:wait
+  | None -> ());
   wait
 
 (* Deliver one attempt into [dst]'s handler and return the service finish
@@ -324,11 +334,11 @@ let request_reply ?(klass = Fault_plan.Data) t ~src ~dst ~service =
     (* one Rpc envelope span per logical round trip; the fault events
        the legs emit (drop/backoff/delay/dup) nest under it *)
     let t0 = t.clock.(src) in
-    let prev = Span.parent () in
-    let id = Span.enter () in
+    let prev = Span.parent t.span in
+    let id = Span.enter t.span in
     let finish () =
-      Span.exit_emit ~id ~prev ~kind:Span.Rpc ~proc:src ~t0 ~t1:t.clock.(src)
-        ~a:dst ~b:(klass_code klass)
+      Span.exit_emit t.span ~id ~prev ~kind:Span.Rpc ~proc:src ~t0
+        ~t1:t.clock.(src) ~a:dst ~b:(klass_code klass)
     in
     match
       match t.fault with

@@ -19,7 +19,12 @@ val undeliverable_to_string :
 (** The canonical one-line rendering of an {!Undeliverable} payload —
     what the CLI prints and what tests assert against. *)
 
-val create : Olden_config.t -> t
+val create : obs:Obs.t -> Olden_config.t -> t
+(** A fresh machine whose fault and RPC hooks record into [obs]
+    ({!Obs.off} to record nothing). *)
+
+val obs : t -> Obs.t
+(** The run's observability, for the layers built over the machine. *)
 
 val nprocs : t -> int
 val costs : t -> Olden_config.costs

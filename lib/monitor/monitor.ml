@@ -36,7 +36,6 @@ type window = {
 }
 
 type t = {
-  home : t option ref; (* the creating domain's sink slot (see [install]) *)
   interval : int;
   nprocs : int;
   probe : probe;
@@ -62,15 +61,6 @@ type t = {
   mutable finished : bool;
 }
 
-(* One installed monitor per domain: runs on different domains of the
-   parallel sweep driver sample independently.  The ref is assigned in
-   place and never replaced, so a [switch] captured before [install]
-   sees the monitor. *)
-let active_key : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let active () = Domain.DLS.get active_key
-
 (* The empty-slot sentinel of [site_h], told apart by physical equality;
    never observed into. *)
 let no_site = Metrics.histogram (Metrics.create ()) "no_site"
@@ -79,7 +69,6 @@ let create ~interval ~nprocs ~probe =
   if interval < 1 then invalid_arg "Monitor.create: interval < 1";
   let lat = Metrics.create () in
   {
-    home = active ();
     interval;
     nprocs;
     probe;
@@ -100,10 +89,10 @@ let create ~interval ~nprocs ~probe =
     req_reg = Metrics.create ();
     req_h = Hashtbl.create 8;
     mark = 0;
-    prev_stats = probe.stats ();
-    prev_busy = probe.busy ();
-    prev_comm = probe.comm ();
-    prev_recovery = probe.recovery_stall ();
+    prev_stats = [];
+    prev_busy = Array.make nprocs 0;
+    prev_comm = Array.make nprocs 0;
+    prev_recovery = Array.make nprocs 0;
     prev_lat = Metrics.snapshot lat;
     rev_windows = [];
     finished = false;
@@ -120,9 +109,8 @@ let sample t ~t1 =
   let comm = t.probe.comm () in
   let recovery = t.probe.recovery_stall () in
   let w_stats =
-    List.map2
-      (fun (name, v) (_, v0) -> (name, v - v0))
-      stats t.prev_stats
+    if t.prev_stats = [] then stats
+    else List.map2 (fun (name, v) (_, v0) -> (name, v - v0)) stats t.prev_stats
   in
   let span = t1 - t.mark in
   let w_procs =
@@ -147,7 +135,7 @@ let sample t ~t1 =
   t.prev_recovery <- recovery;
   t.prev_lat <- Metrics.snapshot t.lat
 
-let tick_m t time =
+let tick t time =
   if (not t.finished) && time - t.mark >= t.interval then
     (* close every whole window the clock has passed; [mark] stays a
        multiple of [interval], so one sample covers them all *)
@@ -161,25 +149,6 @@ let finish t ~makespan =
   end
 
 let windows t = List.rev t.rev_windows
-
-(* --- The domain-wide sink --------------------------------------------- *)
-
-type switch = t option ref
-
-let switch = active
-let on (a : switch) = match !a with Some _ -> true | None -> false
-let is_on () = on (active ())
-
-let install m =
-  let a = active () in
-  if m.home != a then
-    invalid_arg "Monitor.install: monitor was created on a different domain";
-  (match !a with
-  | Some _ -> invalid_arg "Monitor.install: a monitor is already installed"
-  | None -> ());
-  a := Some m
-
-let uninstall () = active () := None
 
 (* A site's histogram, created on its first observation (cold). *)
 let new_site_h t ~key ~sid ~mech =
@@ -198,7 +167,7 @@ let new_site_h t ~key ~sid ~mech =
   t.site_h.(key) <- h;
   h
 
-let deref_m t ~sid ~mech ~cycles =
+let deref_in t ~sid ~mech ~cycles =
   Metrics.observe t.deref_h.(mech_index mech) cycles;
   if sid >= 0 then begin
     let key = (sid * 4) + mech_index mech in
@@ -210,39 +179,16 @@ let deref_m t ~sid ~mech ~cycles =
     Metrics.observe h cycles
   end
 
-let tick (a : switch) time =
-  match !a with None -> () | Some t -> tick_m t time
-
-let deref_in (a : switch) ~sid ~mech ~cycles =
-  match !a with None -> () | Some t -> deref_m t ~sid ~mech ~cycles
-
-let deref ~sid ~mech ~cycles = deref_in (active ()) ~sid ~mech ~cycles
-
-let migration ~cycles =
-  match !(active ()) with
-  | None -> ()
-  | Some t -> Metrics.observe t.migration_h cycles
-
-let return_stub ~cycles =
-  match !(active ()) with
-  | None -> ()
-  | Some t -> Metrics.observe t.return_h cycles
-
-let retry_wait ~cycles =
-  match !(active ()) with
-  | None -> ()
-  | Some t -> Metrics.observe t.retry_h cycles
-
-let recovery_stall ~cycles =
-  match !(active ()) with
-  | None -> ()
-  | Some t -> Metrics.observe t.recovery_h cycles
+let migration t ~cycles = Metrics.observe t.migration_h cycles
+let return_stub t ~cycles = Metrics.observe t.return_h cycles
+let retry_wait t ~cycles = Metrics.observe t.retry_h cycles
+let recovery_stall t ~cycles = Metrics.observe t.recovery_h cycles
 
 (* One served request's admission→completion latency, bucketed by its
    class label.  The histogram registry is separate from the windowed
    one (like per-site), so batch exports stay byte-identical when no
    requests were served. *)
-let request_m t ~klass ~cycles =
+let request t ~klass ~cycles =
   let h =
     match Hashtbl.find_opt t.req_h klass with
     | Some h -> h
@@ -257,10 +203,19 @@ let request_m t ~klass ~cycles =
   in
   Metrics.observe h cycles
 
-let request ~klass ~cycles =
-  match !(active ()) with
+(* --- Lookup forms -------------------------------------------------------- *)
+
+(* A domain-local slot for callers that hold no monitor: [install] fills
+   it and [deref] records into it.  Nothing in the simulator reads it;
+   engines record into their own monitor. *)
+let slot : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+let install m = Domain.DLS.get slot := Some m
+let uninstall () = Domain.DLS.get slot := None
+
+let deref ~sid ~mech ~cycles =
+  match !(Domain.DLS.get slot) with
+  | Some t -> deref_in t ~sid ~mech ~cycles
   | None -> ()
-  | Some t -> request_m t ~klass ~cycles
 
 (* --- Latency summaries ------------------------------------------------- *)
 

@@ -21,17 +21,15 @@
        p50/p90/p99/p999 quantiles, aggregated per mechanism and per
        dereference site.}}
 
-    Like {!Trace}, the monitor is a single per-domain sink and is
-    zero-cost when off: the engine and machine layers capture the
-    domain's {!switch} when they are created, and instrumentation sites
-    are written
+    A monitor belongs to one run: the engine builds it, with a probe of
+    its own machine, when it is created with a monitoring interval, and
+    hands it to the layers beneath.  It is zero-cost when off: those
+    layers hold a [Monitor.t option] and instrumentation sites are
+    written
 
-    {[ if Monitor.on t.monitor then Monitor.migration ~cycles ]}
+    {[ Option.iter (fun m -> Monitor.migration m ~cycles) t.monitor ]}
 
-    so with no monitor installed only an already-held ref is read.  The
-    two per-operation hooks, {!deref_in} and {!tick}, take the
-    switch itself, so recording makes no domain-local lookup either;
-    recording allocates nothing once a site's histogram exists.  The
+    and recording allocates nothing once a site's histogram exists.  The
     monitor only {e reads} simulated clocks — it never advances them —
     so monitored runs are cycle-identical to unmonitored ones, and the
     output is a pure function of (program, config, seed): same seed,
@@ -56,9 +54,9 @@ val mech_index : mech -> int
 val mech_of_index : int -> mech
 (** The inverse of {!mech_index}. *)
 
-(** Closures over the running machine, supplied by the driver
-    ([Common.execute]); the monitor has no dependency on the machine
-    layer, so every layer above [olden_trace] may call into it. *)
+(** Closures over the running machine, supplied by its creator (the
+    engine); the monitor has no dependency on the machine layer, so
+    every layer above [olden_trace] may call into it. *)
 type probe = {
   stats : unit -> (string * int) list;
       (** the full [Stats.fields] of the live stats record *)
@@ -70,76 +68,61 @@ type probe = {
 type t
 
 val create : interval:int -> nprocs:int -> probe:probe -> t
-(** A fresh monitor sampling at every [interval] simulated cycles.
+(** A fresh monitor sampling at every [interval] simulated cycles.  The
+    probe is first read when the first window closes, and each window
+    reports the change since the previous one, starting from zero: create
+    the monitor with the machine it samples.
     @raise Invalid_argument if [interval < 1]. *)
 
 val interval : t -> int
 val nprocs : t -> int
 
-(** {2 The per-domain sink} *)
-
-val install : t -> unit
-(** @raise Invalid_argument if a monitor is already installed, or if
-    this one was created on another domain. *)
-
-val uninstall : unit -> unit
-
-type switch
-(** The calling domain's monitor slot, as a handle that can be tested
-    without a domain-local lookup. *)
-
-val switch : unit -> switch
-(** The calling domain's switch.  {!install} and {!uninstall} assign
-    this same slot, so a switch captured before [install] still sees the
-    monitor.  Capture it once, where the instrumented layer is created,
-    and use it only on that domain. *)
-
-val on : switch -> bool
-(** Whether a monitor is installed: one dereference of the held slot.
-    Hot instrumentation sites guard on this so the disabled path
-    allocates nothing. *)
-
-val is_on : unit -> bool
-(** [on (switch ())]: one [Domain.DLS.get] more, for cold callers that
-    hold no switch. *)
-
-(** {2 Instrumentation hooks} (no-ops when no monitor is installed)
+(** {2 Instrumentation hooks}
 
     All [cycles] are simulated-clock durations; [tick] carries the
     scheduler's global virtual time, which is monotonically
     non-decreasing across calls. *)
 
-val tick : switch -> int -> unit
-(** Advance the window clock of the monitor behind the switch; closes
-    every interval window the given time has passed. *)
+val tick : t -> int -> unit
+(** Advance the window clock; closes every interval window the given
+    time has passed. *)
 
-val deref : sid:int -> mech:mech -> cycles:int -> unit
+val deref_in : t -> sid:int -> mech:mech -> cycles:int -> unit
 (** A dereference episode completed: end-to-end latency [cycles], from
     the operation's entry to its completion on whichever processor
     finished it. *)
 
-val deref_in : switch -> sid:int -> mech:mech -> cycles:int -> unit
-(** {!deref} into the monitor behind a captured switch. *)
-
-val migration : cycles:int -> unit
+val migration : t -> cycles:int -> unit
 (** A migrated computation restarted at its target: [cycles] from
     episode entry at the source to restart at the target. *)
 
-val return_stub : cycles:int -> unit
+val return_stub : t -> cycles:int -> unit
 (** A return stub delivered its value back to the home processor. *)
 
-val retry_wait : cycles:int -> unit
+val retry_wait : t -> cycles:int -> unit
 (** A sender finished one backoff wait before retransmitting. *)
 
-val recovery_stall : cycles:int -> unit
+val recovery_stall : t -> cycles:int -> unit
 (** A crashed processor completed its warm-restart protocol. *)
 
-val request : klass:string -> cycles:int -> unit
+val request : t -> klass:string -> cycles:int -> unit
 (** A served request completed: admission→completion latency [cycles],
     bucketed under its request-class label (from the serving mix
     grammar, e.g. ["point"]).  Adds a per-class dimension to the
     latency exports; sections appear only when at least one request was
     recorded, so batch runs export byte-identical documents. *)
+
+(** {2 Lookup forms}
+
+    For callers that hold no monitor handle: {!install} puts a monitor
+    in a domain-local slot and {!deref} records into it.  Engines never
+    read the slot. *)
+
+val install : t -> unit
+val uninstall : unit -> unit
+
+val deref : sid:int -> mech:mech -> cycles:int -> unit
+(** {!deref_in} into the installed monitor; a no-op when none is. *)
 
 val finish : t -> makespan:int -> unit
 (** Close the final (partial) window at [makespan].  Idempotent. *)

@@ -8,11 +8,11 @@
    therefore observes identical output for any pool size, including 1
    (which runs everything inline on the calling domain).
 
-   Simulator state that used to be ambient globals (site registry,
-   trace emitter, span collector, monitor, driver hooks) is
-   domain-local, so each worker carries its own copy; jobs must still
-   reset whatever per-run state they care about (e.g. [Site.reset])
-   because a pool domain is reused across jobs. *)
+   Simulator state is owned by an engine (its observability sinks) or
+   domain-local (site registry, driver hooks), so each worker carries
+   its own copy; jobs must still reset whatever per-run state they care
+   about (e.g. [Site.reset]) because a pool domain is reused across
+   jobs. *)
 
 type stats = {
   domains : int;  (** workers actually spawned *)

@@ -4,9 +4,9 @@
     but results come back in submission order and the first failure in
     submission order is re-raised after the pool drains — so callers
     whose jobs are independent and deterministic observe identical
-    output for any pool size.  Simulator runs qualify: every formerly
-    ambient global (site registry, trace emitter, span collector,
-    monitor, driver hooks, engine pointer) is domain-local state, though
+    output for any pool size.  Simulator runs qualify: their state is
+    owned by the engine (its observability sinks) or domain-local (site
+    registry, driver hooks, engine pointer), though
     jobs must still reset per-run state they depend on (e.g.
     [Site.reset]) because pool domains are reused across jobs. *)
 

@@ -90,10 +90,11 @@ let failstops t =
 let note_threads_lost t ~proc ~count =
   t.procs.(proc).threads_lost <- t.procs.(proc).threads_lost + count
 
-let emit ~proc ~time kind =
-  if Trace.is_on () then
-    Trace.emit
-      { Trace.time; proc; tid = Trace.thread (); site = Trace.site (); kind }
+let emit t ~proc ~time kind =
+  let tr = (Machine.obs t.machine).Obs.trace in
+  if Trace.on tr then
+    Trace.emit tr
+      { Trace.time; proc; tid = Trace.thread tr; site = Trace.site tr; kind }
 
 (* Home pages the victim was serving for [owner]: everything its bump
    allocator handed out, rounded up to whole pages — that is what the
@@ -122,9 +123,11 @@ let fail_over t ~victim =
   let died = Machine.now t.machine victim in
   let t0 = Machine.now t.machine successor in
   let module Span = Olden_span.Span in
-  let span_on = Span.is_on () in
-  let sprev = if span_on then Span.parent () else -1 in
-  let sid = if span_on then Span.enter () else -1 in
+  let obs = Machine.obs t.machine in
+  let sp = obs.Obs.span in
+  let span_on = Span.on sp in
+  let sprev = if span_on then Span.parent sp else -1 in
+  let sid = if span_on then Span.enter sp else -1 in
   Machine.mark_dead t.machine victim;
   ps.died_at <- died;
   ps.successor <- successor;
@@ -132,7 +135,7 @@ let fail_over t ~victim =
   (* the victim's volatile cached state dies with it *)
   let lost = Cache.drop_processor_state t.cache ~proc:victim in
   ps.cached_lost <- ps.cached_lost + lost;
-  emit ~proc:victim ~time:died (Trace.Failstop { pages_lost = lost });
+  emit t ~proc:victim ~time:died (Trace.Failstop { pages_lost = lost });
   (* promote the backup: every owner the victim was serving re-homes,
      including the victim itself and any earlier victims it had been
      serving as a successor *)
@@ -198,14 +201,15 @@ let fail_over t ~victim =
   end;
   let stall = Machine.now t.machine successor - t0 in
   ps.stall_cycles <- ps.stall_cycles + stall;
-  if Olden_monitor.Monitor.is_on () then
-    Olden_monitor.Monitor.recovery_stall ~cycles:stall;
+  Option.iter
+    (fun m -> Olden_monitor.Monitor.recovery_stall m ~cycles:stall)
+    obs.Obs.monitor;
   if span_on then
-    Span.exit_emit ~id:sid ~prev:sprev ~kind:Span.Failover ~proc:successor
+    Span.exit_emit sp ~id:sid ~prev:sprev ~kind:Span.Failover ~proc:successor
       ~t0
       ~t1:(Machine.now t.machine successor)
       ~a:!moved ~b:victim;
-  emit ~proc:successor
+  emit t ~proc:successor
     ~time:(Machine.now t.machine successor)
     (Trace.Failover { victim; pages = !moved; homes = !homes });
   successor

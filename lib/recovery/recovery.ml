@@ -84,10 +84,11 @@ let crashes t ~proc = t.procs.(proc).crashes
 let last_crash_time t ~proc = t.procs.(proc).last_crash_time
 let total_crashes t = Array.fold_left (fun a p -> a + p.crashes) 0 t.procs
 
-let emit ~proc ~time kind =
-  if Trace.is_on () then
-    Trace.emit
-      { Trace.time; proc; tid = Trace.thread (); site = Trace.site (); kind }
+let emit t ~proc ~time kind =
+  let tr = (Machine.obs t.machine).Obs.trace in
+  if Trace.on tr then
+    Trace.emit tr
+      { Trace.time; proc; tid = Trace.thread tr; site = Trace.site tr; kind }
 
 (* The warm restart itself.  [log] is the write log of the thread running
    on the victim at crash time.  Write-through already placed both the
@@ -107,9 +108,11 @@ let crash_and_recover t ~proc ~(log : Write_log.t) =
      Rpc spans (and any drop/backoff events) nest under it — a crash in
      the middle of a dereference shows up inside that episode's tree *)
   let module Span = Olden_span.Span in
-  let span_on = Span.is_on () in
-  let sprev = if span_on then Span.parent () else -1 in
-  let sid = if span_on then Span.enter () else -1 in
+  let obs = Machine.obs t.machine in
+  let sp = obs.Obs.span in
+  let span_on = Span.on sp in
+  let sprev = if span_on then Span.parent sp else -1 in
+  let sid = if span_on then Span.enter sp else -1 in
   if ps.crashes = 0 then
     ps.ever_at_first_crash <- Translation.entries_ever (Cache.table t.cache proc);
   ps.crashes <- ps.crashes + 1;
@@ -120,7 +123,7 @@ let crash_and_recover t ~proc ~(log : Write_log.t) =
   let lost = Cache.drop_processor_state t.cache ~proc in
   ps.pages_lost <- ps.pages_lost + lost;
   s.Stats.pages_lost_in_crash <- s.Stats.pages_lost_in_crash + lost;
-  emit ~proc ~time:t0 (Trace.Crash { pages_lost = lost });
+  emit t ~proc ~time:t0 (Trace.Crash { pages_lost = lost });
   (* restart work: rebuild the empty table (charged as the whole-cache
      invalidate the local scheme already prices) *)
   Machine.advance t.machine proc c.C.cache_flush;
@@ -150,12 +153,13 @@ let crash_and_recover t ~proc ~(log : Write_log.t) =
   let stall = Machine.now t.machine proc - t0 in
   ps.stall_cycles <- ps.stall_cycles + stall;
   s.Stats.recovery_stall_cycles <- s.Stats.recovery_stall_cycles + stall;
-  if Olden_monitor.Monitor.is_on () then
-    Olden_monitor.Monitor.recovery_stall ~cycles:stall;
+  Option.iter
+    (fun m -> Olden_monitor.Monitor.recovery_stall m ~cycles:stall)
+    obs.Obs.monitor;
   if span_on then
-    Span.exit_emit ~id:sid ~prev:sprev ~kind:Span.Crash ~proc ~t0
+    Span.exit_emit sp ~id:sid ~prev:sprev ~kind:Span.Crash ~proc ~t0
       ~t1:(Machine.now t.machine proc) ~a:lost ~b:!homes;
-  emit ~proc ~time:(Machine.now t.machine proc)
+  emit t ~proc ~time:(Machine.now t.machine proc)
     (Trace.Recover { homes = !homes; stall })
 
 (* Is a crash due on [proc] right now?  Forced orders (tests) fire first,

@@ -61,16 +61,15 @@ type t = {
       (* (processor, label) per parked waiter — deadlock diagnostics *)
   mutable phases : phase_mark list; (* newest first *)
   mutable finished : bool;
-  trace : Trace.switch;
-  span : Span.switch;
-  monitor : Monitor.switch;
-      (* the creating domain's observability switches, captured once so
-         a hot guard is a field read rather than a [Domain.DLS.get];
-         sinks installed after [create] still show through them *)
+  trace : Trace.t;
+  span : Span.t;
+  monitor : Monitor.t option;
+      (* the run's observability ([Machine.obs]), held in parts so a hot
+         guard is one field read *)
 }
 
-let create cfg =
-  let machine = Machine.create cfg in
+let build cfg (obs : Obs.t) =
+  let machine = Machine.create ~obs cfg in
   let memory = Memory.create ~nprocs:cfg.C.nprocs in
   let cache = Cache.create cfg machine memory in
   let dummy_thread = { tid = 0; seat = 0; log = Write_log.create () } in
@@ -103,10 +102,38 @@ let create cfg =
     parked = [];
     phases = [];
     finished = false;
-    trace = Trace.switch ();
-    span = Span.switch ();
-    monitor = Monitor.switch ();
+    trace = obs.trace;
+    span = obs.span;
+    monitor = obs.monitor;
   }
+
+let create ?(obs = Obs.none) cfg =
+  let nprocs = cfg.C.nprocs in
+  match obs.Obs.monitor_interval with
+  | None -> build cfg (Obs.start obs ~nprocs ~monitor:None)
+  | Some interval ->
+      (* the monitor samples this engine's machine and recovery layer,
+         which themselves record into it: its probe reaches them through
+         [self], set before the first window closes *)
+      let self = ref None in
+      let part f () = f (Option.get !self) in
+      let probe =
+        {
+          Monitor.stats =
+            part (fun t -> Stats.fields (Machine.stats t.machine));
+          busy = part (fun t -> Machine.busy_cycles t.machine);
+          comm = part (fun t -> Machine.comm_cycles t.machine);
+          recovery_stall =
+            part (fun t ->
+                match t.recovery with
+                | Some r -> Recovery.stall_cycles r
+                | None -> Array.make nprocs 0);
+        }
+      in
+      let monitor = Monitor.create ~interval ~nprocs ~probe in
+      let t = build cfg (Obs.start obs ~nprocs ~monitor:(Some monitor)) in
+      self := Some t;
+      t
 
 let memory t = t.memory
 let machine t = t.machine
@@ -114,6 +141,8 @@ let cache t = t.cache
 let recovery t = t.recovery
 let failover t = t.failover
 let config t = t.cfg
+let obs t = Machine.obs t.machine
+let monitor t = t.monitor
 let stats t = Machine.stats t.machine
 let costs t = t.cfg.C.costs
 
@@ -141,19 +170,18 @@ let push_work t ~proc task =
 let now t = Machine.now t.machine t.cur_proc
 let advance t cycles = Machine.advance t.machine t.cur_proc cycles
 
-(* Low-tech event tracing, enabled by [cfg.trace]; the message is built
-   lazily, and call sites guard on [t.cfg.C.trace] themselves so not even
-   the message closure is allocated when tracing is off. *)
-let trace t msg =
-  if t.cfg.C.trace then
-    Printf.eprintf "[t=%8d p=%2d tid=%d] %s\n%!" (now t) t.cur_proc
-      t.cur_thread.tid (msg ())
+(* A dereference episode that entered at [ep0] completed now, into the
+   run's monitor. *)
+let monitor_deref t ~sid ~mech ~ep0 =
+  match t.monitor with
+  | Some m -> Monitor.deref_in m ~sid ~mech ~cycles:(now t - ep0)
+  | None -> ()
 
 (* Structured event emission (Olden_trace).  Every call site is guarded
-   on [Trace.on t.trace] so nothing is allocated when no sink is
-   installed. *)
+   on [Trace.on t.trace] so nothing is allocated when the run has no
+   trace sink. *)
 let emit t ?(site = -1) kind =
-  Trace.emit
+  Trace.emit t.trace
     { Trace.time = now t; proc = t.cur_proc; tid = t.cur_thread.tid; site;
       kind }
 
@@ -192,10 +220,6 @@ let resolve t (cell : fut) v =
   | Done _ -> failwith "Engine: future resolved twice"
   | Pending waiters ->
       cell.state <- Done v;
-      if t.cfg.C.trace then
-        trace t (fun () ->
-            Printf.sprintf "resolve fut#%d (%d waiter(s))" cell.fid
-              (List.length waiters));
       if Trace.on t.trace then
         emit t
           (Trace.Future_resolve
@@ -262,8 +286,6 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
   s.Stats.migrations <- s.Stats.migrations + 1;
   let thread = t.cur_thread in
   let source = t.cur_proc in
-  if t.cfg.C.trace then
-    trace t (fun () -> Printf.sprintf "migrate -> %d" target);
   (* an outgoing migration is a release point *)
   Cache.on_migration_sent t.cache ~proc:t.cur_proc ~log:thread.log;
   advance t c.C.migrate_send;
@@ -278,12 +300,12 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
      so their durations sum exactly to the episode latency. *)
   let sctx =
     if Span.on t.span then begin
-      Span.child ~kind:Span.Send ~proc:source ~t0:ep0 ~t1:send_done ~a:target
-        ~b:0;
-      Span.child ~kind:Span.Wire ~proc:source ~t0:send_done
+      Span.child_in t.span ~kind:Span.Send ~proc:source ~t0:ep0 ~t1:send_done
+        ~a:target ~b:0;
+      Span.child_in t.span ~kind:Span.Wire ~proc:source ~t0:send_done
         ~t1:(send_done + c.C.net_latency) ~a:0 ~b:0;
       if penalty > 0 then
-        Span.child ~kind:Span.Penalty ~proc:target
+        Span.child_in t.span ~kind:Span.Penalty ~proc:target
           ~t0:(send_done + c.C.net_latency) ~t1:ready_at ~a:penalty ~b:0;
       Span.save t.span
     end
@@ -303,8 +325,8 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
           if span_on then begin
             Span.restore t.span sctx;
             if t_arr > ready_at then
-              Span.child ~kind:Span.Queue ~proc:target ~t0:ready_at ~t1:t_arr
-                ~a:0 ~b:0
+              Span.child_in t.span ~kind:Span.Queue ~proc:target ~t0:ready_at
+                ~t1:t_arr ~a:0 ~b:0
           end;
           (* the target may have crashed while the state was in flight:
              recover first, then install — the transfer itself survives
@@ -312,11 +334,11 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
           check_crash t ~proc:target ~thread;
           let t_rc = Machine.now t.machine target in
           if span_on && t_rc > t_arr then
-            Span.child ~kind:Span.Replay ~proc:target ~t0:t_arr ~t1:t_rc ~a:0
-              ~b:0;
+            Span.child_in t.span ~kind:Span.Replay ~proc:target ~t0:t_arr
+              ~t1:t_rc ~a:0 ~b:0;
           Machine.advance t.machine target c.C.migrate_recv;
           if Trace.on t.trace then
-            Trace.emit
+            Trace.emit t.trace
               { Trace.time = Machine.now t.machine target; proc = target;
                 tid = thread.tid; site;
                 kind = Trace.Migrate_arrive { source } };
@@ -328,20 +350,19 @@ let migrate_to t ~site ~target ~vseat ~penalty ~ep0
           thread.seat <- vseat;
           let t_recv = Machine.now t.machine target in
           if span_on then
-            Span.child ~kind:Span.Recv ~proc:target ~t0:t_rc ~t1:t_recv ~a:0
-              ~b:0;
-          if Monitor.on t.monitor then
-            (* episode entry ([ep0]) to restart here: the migration leg *)
-            Monitor.migration
-              ~cycles:(Machine.now t.machine target - ep0);
+            Span.child_in t.span ~kind:Span.Recv ~proc:target ~t0:t_rc
+              ~t1:t_recv ~a:0 ~b:0;
+          (match t.monitor with
+          | Some m ->
+              (* episode entry ([ep0]) to restart here: the migration leg *)
+              Monitor.migration m ~cycles:(Machine.now t.machine target - ep0)
+          | None -> ());
           let v = complete () in
           if span_on then
-            Span.child ~kind:Span.Service ~proc:target ~t0:t_recv
+            Span.child_in t.span ~kind:Span.Service ~proc:target ~t0:t_recv
               ~t1:(Machine.now t.machine target) ~a:0 ~b:0;
-          if Monitor.on t.monitor then
-            (* entry to completion of the interrupted dereference *)
-            Monitor.deref_in t.monitor ~sid:site ~mech:Monitor.Migrate
-              ~cycles:(Machine.now t.machine target - ep0);
+          (* entry to completion of the interrupted dereference *)
+          monitor_deref t ~sid:site ~mech:Monitor.Migrate ~ep0;
           if span_on then
             Span.close_root t.span
               ~t1:(Machine.now t.machine target)
@@ -381,8 +402,8 @@ let cached_load t (site : Site.t) g field =
   if Gptr.proc g <> t.cur_proc then
     site.Site.remote <- site.Site.remote + 1;
   if Trace.on t.trace then begin
-    Trace.set_thread t.cur_thread.tid;
-    Trace.set_site site.Site.sid
+    Trace.set_thread t.trace t.cur_thread.tid;
+    Trace.set_site t.trace site.Site.sid
   end;
   let s = stats t in
   let before = s.Stats.cache_misses in
@@ -397,8 +418,8 @@ let cached_store t (site : Site.t) g field v =
   if Gptr.proc g <> t.cur_proc then
     site.Site.remote <- site.Site.remote + 1;
   if Trace.on t.trace then begin
-    Trace.set_thread t.cur_thread.tid;
-    Trace.set_site site.Site.sid
+    Trace.set_thread t.trace t.cur_thread.tid;
+    Trace.set_site t.trace site.Site.sid
   end;
   let s = stats t in
   let retries_before = s.Stats.retries in
@@ -499,14 +520,14 @@ let mech_code = function
   | Monitor.Fallback -> 3
 
 (* Span roots open here, at episode entry, *before* the body runs: if the
-   body raises [Must_perform] the root stays open in the ambient context
+   body raises [Must_perform] the root stays open in the trace context
    and the effect-handler arm continues the same episode (the arm is
    always entered with the root already open — [Ops] tries the fast path
    first).  [Monitor.deref_in] runs before [close_root] so exemplars can
    read the trace id of the episode they record. *)
 
 let immediate_load t (site : Site.t) g field =
-  let mon = Monitor.on t.monitor in
+  let mon = Option.is_some t.monitor in
   let sp = Span.on t.span in
   if not (mon || sp) then immediate_load_u t site g field
   else begin
@@ -515,9 +536,7 @@ let immediate_load t (site : Site.t) g field =
       Span.open_root t.span ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
     let v = immediate_load_u t site g field in
     let mech = completed_mech t site in
-    if mon then
-      Monitor.deref_in t.monitor ~sid:site.Site.sid ~mech
-        ~cycles:(now t - ep0);
+    monitor_deref t ~sid:site.Site.sid ~mech ~ep0;
     if sp then
       Span.close_root t.span ~t1:(now t) ~a:site.Site.sid
         ~b:(mech_code mech);
@@ -525,7 +544,7 @@ let immediate_load t (site : Site.t) g field =
   end
 
 let immediate_store t (site : Site.t) g field v =
-  let mon = Monitor.on t.monitor in
+  let mon = Option.is_some t.monitor in
   let sp = Span.on t.span in
   if not (mon || sp) then immediate_store_u t site g field v
   else begin
@@ -534,9 +553,7 @@ let immediate_store t (site : Site.t) g field v =
       Span.open_root t.span ~kind:Span.Deref ~proc:t.cur_proc ~t0:ep0;
     immediate_store_u t site g field v;
     let mech = completed_mech t site in
-    if mon then
-      Monitor.deref_in t.monitor ~sid:site.Site.sid ~mech
-        ~cycles:(now t - ep0);
+    monitor_deref t ~sid:site.Site.sid ~mech ~ep0;
     if sp then
       Span.close_root t.span ~t1:(now t) ~a:site.Site.sid
         ~b:(mech_code mech)
@@ -610,9 +627,9 @@ let try_migrate t ~(site : Site.t) ~home =
       if Trace.on t.trace then
         emit t ~site:site.Site.sid (Trace.Migrate_fallback { home; attempts });
       if Span.on t.span then begin
-        Span.child ~kind:Span.Stall ~proc:t.cur_proc ~t0:(now t - penalty)
-          ~t1:(now t) ~a:penalty ~b:attempts;
-        Span.child ~kind:Span.Fallback ~proc:t.cur_proc ~t0:(now t)
+        Span.child_in t.span ~kind:Span.Stall ~proc:t.cur_proc
+          ~t0:(now t - penalty) ~t1:(now t) ~a:penalty ~b:attempts;
+        Span.child_in t.span ~kind:Span.Fallback ~proc:t.cur_proc ~t0:(now t)
           ~t1:(now t) ~a:home ~b:attempts
       end;
       None
@@ -634,7 +651,8 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
         Some
           (fun k ->
             let ep0 =
-              if Monitor.on t.monitor || Span.on t.span then now t else 0
+              if Option.is_some t.monitor || Span.on t.span then now t
+              else 0
             in
             match immediate_load t site g field with
             | v -> Effect.Deep.continue k v
@@ -663,16 +681,16 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                         Memory.load t.memory g field)
                 | None ->
                     let sp = Span.on t.span in
-                    let prev = if sp then Span.parent () else -1 in
-                    let cid = if sp then Span.enter () else -1 in
+                    let prev = if sp then Span.parent t.span else -1 in
+                    let cid = if sp then Span.enter t.span else -1 in
                     let cs0 = now t in
                     let v = cached_load t site g field in
                     if sp then
-                      Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
-                        ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-                    if Monitor.on t.monitor then
-                      Monitor.deref_in t.monitor ~sid:site.Site.sid
-                        ~mech:Monitor.Fallback ~cycles:(now t - ep0);
+                      Span.exit_emit t.span ~id:cid ~prev
+                        ~kind:Span.Cache_service ~proc:t.cur_proc ~t0:cs0
+                        ~t1:(now t) ~a:home ~b:0;
+                    monitor_deref t ~sid:site.Site.sid ~mech:Monitor.Fallback
+                      ~ep0;
                     if sp then
                       Span.close_root t.span ~t1:(now t) ~a:site.Site.sid
                         ~b:3 (* mech code: fallback *);
@@ -681,7 +699,8 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
         Some
           (fun k ->
             let ep0 =
-              if Monitor.on t.monitor || Span.on t.span then now t else 0
+              if Option.is_some t.monitor || Span.on t.span then now t
+              else 0
             in
             match immediate_store t site g field v with
             | () -> Effect.Deep.continue k ()
@@ -708,16 +727,16 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                           ~log:t.cur_thread.log)
                 | None ->
                     let sp = Span.on t.span in
-                    let prev = if sp then Span.parent () else -1 in
-                    let cid = if sp then Span.enter () else -1 in
+                    let prev = if sp then Span.parent t.span else -1 in
+                    let cid = if sp then Span.enter t.span else -1 in
                     let cs0 = now t in
                     cached_store t site g field v;
                     if sp then
-                      Span.exit_emit ~id:cid ~prev ~kind:Span.Cache_service
-                        ~proc:t.cur_proc ~t0:cs0 ~t1:(now t) ~a:home ~b:0;
-                    if Monitor.on t.monitor then
-                      Monitor.deref_in t.monitor ~sid:site.Site.sid
-                        ~mech:Monitor.Fallback ~cycles:(now t - ep0);
+                      Span.exit_emit t.span ~id:cid ~prev
+                        ~kind:Span.Cache_service ~proc:t.cur_proc ~t0:cs0
+                        ~t1:(now t) ~a:home ~b:0;
+                    monitor_deref t ~sid:site.Site.sid ~mech:Monitor.Fallback
+                      ~ep0;
                     if sp then
                       Span.close_root t.span ~t1:(now t) ~a:site.Site.sid
                         ~b:3 (* mech code: fallback *);
@@ -739,9 +758,6 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                 resolver_log = None;
               }
             in
-            if t.cfg.C.trace then
-              trace t (fun () ->
-                  Printf.sprintf "future fut#%d spawned" cell.fid);
             if Trace.on t.trace then
               emit t (Trace.Future_spawn { fid = cell.fid });
             (* Save the return continuation on this processor's work list.
@@ -775,9 +791,6 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                     let s = stats t in
                     s.Stats.touches <- s.Stats.touches + 1;
                     advance t c.C.future_touch;
-                    if t.cfg.C.trace then
-                      trace t (fun () ->
-                          Printf.sprintf "touch fut#%d: park" cell.fid);
                     if Trace.on t.trace then
                       emit t
                         (Trace.Future_touch { fid = cell.fid; parked = true });
@@ -817,7 +830,9 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
               let c = costs t in
               let s = stats t in
               let sp = Span.on t.span in
-              let ep0 = if Monitor.on t.monitor || sp then now t else 0 in
+              let ep0 =
+                if Option.is_some t.monitor || sp then now t else 0
+              in
               s.Stats.returns <- s.Stats.returns + 1;
               let thread = t.cur_thread in
               let source = t.cur_proc in
@@ -848,12 +863,12 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
               let ready_at = send_done + c.C.net_latency + penalty in
               let sctx =
                 if sp then begin
-                  Span.child ~kind:Span.Send ~proc:source ~t0:ep0
+                  Span.child_in t.span ~kind:Span.Send ~proc:source ~t0:ep0
                     ~t1:send_done ~a:target ~b:0;
-                  Span.child ~kind:Span.Wire ~proc:source ~t0:send_done
-                    ~t1:(send_done + c.C.net_latency) ~a:0 ~b:0;
+                  Span.child_in t.span ~kind:Span.Wire ~proc:source
+                    ~t0:send_done ~t1:(send_done + c.C.net_latency) ~a:0 ~b:0;
                   if penalty > 0 then
-                    Span.child ~kind:Span.Penalty ~proc:target
+                    Span.child_in t.span ~kind:Span.Penalty ~proc:target
                       ~t0:(send_done + c.C.net_latency) ~t1:ready_at
                       ~a:penalty ~b:0;
                   Span.save t.span
@@ -874,17 +889,17 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                       if span_on then begin
                         Span.restore t.span sctx;
                         if t_arr > ready_at then
-                          Span.child ~kind:Span.Queue ~proc:target
+                          Span.child_in t.span ~kind:Span.Queue ~proc:target
                             ~t0:ready_at ~t1:t_arr ~a:0 ~b:0
                       end;
                       check_crash t ~proc:target ~thread;
                       let t_rc = Machine.now t.machine target in
                       if span_on && t_rc > t_arr then
-                        Span.child ~kind:Span.Replay ~proc:target ~t0:t_arr
-                          ~t1:t_rc ~a:0 ~b:0;
+                        Span.child_in t.span ~kind:Span.Replay ~proc:target
+                          ~t0:t_arr ~t1:t_rc ~a:0 ~b:0;
                       Machine.advance t.machine target c.C.return_recv;
                       if Trace.on t.trace then
-                        Trace.emit
+                        Trace.emit t.trace
                           { Trace.time = Machine.now t.machine target;
                             proc = target; tid = thread.tid; site = -1;
                             kind = Trace.Return_arrive { source } };
@@ -894,11 +909,13 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
                          map routed the stub *)
                       thread.seat <- origin;
                       if span_on then
-                        Span.child ~kind:Span.Recv ~proc:target ~t0:t_rc
-                          ~t1:(Machine.now t.machine target) ~a:0 ~b:0;
-                      if Monitor.on t.monitor then
-                        Monitor.return_stub
-                          ~cycles:(Machine.now t.machine target - ep0);
+                        Span.child_in t.span ~kind:Span.Recv ~proc:target
+                          ~t0:t_rc ~t1:(Machine.now t.machine target) ~a:0 ~b:0;
+                      (match t.monitor with
+                      | Some m ->
+                          Monitor.return_stub m
+                            ~cycles:(Machine.now t.machine target - ep0)
+                      | None -> ());
                       if span_on then
                         Span.close_root t.span
                           ~t1:(Machine.now t.machine target)
@@ -921,7 +938,7 @@ let rec handler t : (unit, unit) Effect.Deep.handler =
               { pname = name; at = m; snapshot = Stats.copy (stats t) }
               :: t.phases;
             if Trace.on t.trace then
-              Trace.emit
+              Trace.emit t.trace
                 { Trace.time = m; proc = t.cur_proc;
                   tid = t.cur_thread.tid; site = -1;
                   kind = Trace.Phase_mark name };
@@ -1011,26 +1028,23 @@ let step t =
     | _ ->
     (* [best_start] is the global virtual time: it never decreases across
        steps, so it drives the monitor's interval windows *)
-    if Monitor.on t.monitor then Monitor.tick t.monitor best_start;
+    (match t.monitor with Some m -> Monitor.tick m best_start | None -> ());
     Machine.wait_until t.machine proc best_start;
     let steal = Scheduler.source t.sched proc = Scheduler.Work in
     let task = Scheduler.take t.sched proc in
     if steal then begin
-      if t.cfg.C.trace then
-        Printf.eprintf "[t=%8d p=%2d] steal (tid=%d)\n%!"
-          (Machine.now t.machine proc) proc task.thread.tid;
       let s = stats t in
       s.Stats.steals <- s.Stats.steals + 1;
       Machine.advance t.machine proc (costs t).C.steal;
       if Trace.on t.trace then
-        Trace.emit
+        Trace.emit t.trace
           { Trace.time = Machine.now t.machine proc; proc;
             tid = task.thread.tid; site = -1; kind = Trace.Steal }
     end;
     t.cur_proc <- proc;
     t.cur_thread <- task.thread;
-    if Trace.on t.trace then Trace.set_thread task.thread.tid;
-    (* a task must not inherit the ambient span context of whatever ran
+    if Trace.on t.trace then Trace.set_thread t.trace task.thread.tid;
+    (* a task must not inherit the span trace context of whatever ran
        last: cross-task context travels only inside scheduled closures
        (via [Span.save]/[restore]), which re-install it themselves *)
     if Span.on t.span then Span.clear t.span;
@@ -1050,7 +1064,10 @@ let flight_state t =
         busy.(p) comm.(p)
         (Scheduler.events t.sched p)
         (Scheduler.works t.sched p)
-        (Span.last_span_on p))
+        (Span.last_span_on t.span p))
+
+let flight_dump t ~reason =
+  Span.flight_dump t.span ~reason ~state:(flight_state t)
 
 (* The drained-but-blocked diagnostic: which sites the stuck threads
    parked at, and how many pending continuations each processor holds —
@@ -1103,30 +1120,22 @@ let deadlock_message t =
     Buffer.add_string buf
       (String.concat " "
          (List.map
-            (fun p -> Printf.sprintf "p%d=#%d" p (Span.last_span_on p))
+            (fun p -> Printf.sprintf "p%d=#%d" p (Span.last_span_on t.span p))
             parked_procs))
   end;
-  (match Span.flight_dump ~reason:"deadlock" ~state:(flight_state t) with
+  (match flight_dump t ~reason:"deadlock" with
   | Some path -> Buffer.add_string buf ("; flight recorder: " ^ path)
   | None -> ());
   Buffer.contents buf
 
+let failure_reason = function
+  | Machine.Undeliverable { dst; klass; attempts } ->
+      Machine.undeliverable_to_string ~dst ~klass ~attempts
+  | Threads_lost msg -> msg
+  | e -> Printexc.to_string e
+
 (* Run [program] to completion as the initial thread on processor 0. *)
 let exec t program =
-  (* the captured switches are the creating domain's: run anywhere else
-     and every guard would read another domain's sinks *)
-  if
-    t.trace != Trace.switch () || t.span != Span.switch ()
-    || t.monitor != Monitor.switch ()
-  then
-    invalid_arg "Engine.exec: engine was created on a different domain";
-  (* clear the ambient emitter context so events fired before the first
-     dereference don't inherit a stale thread/site from a previous run;
-     span ids and per-proc sequences restart so same-seed runs export
-     byte-identical spans *)
-  Trace.set_thread (-1);
-  Trace.set_site (-1);
-  Span.reset ();
   let main_thread = new_thread t in
   schedule_event t ~proc:0 ~ready_at:0
     {
@@ -1145,9 +1154,17 @@ let exec t program =
   Fun.protect
     ~finally:(fun () -> cur := saved)
     (fun () ->
-      while step t do
-        ()
-      done);
+      try
+        while step t do
+          ()
+        done
+      with e ->
+        (* a run that dies mid-flight (an undeliverable message, lost
+           threads, a program error) leaves its flight-recorder dump
+           here, while the per-processor state is still in hand *)
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (flight_dump t ~reason:(failure_reason e));
+        Printexc.raise_with_backtrace e bt);
   if t.blocked > 0 then raise (Deadlock (deadlock_message t));
   if not t.finished then raise (Deadlock "main thread never completed")
 
@@ -1220,8 +1237,8 @@ let report (t : t) =
 let phase_snapshots (t : t) =
   List.rev_map (fun p -> (p.pname, p.at, p.snapshot)) t.phases
 
-let run cfg program =
-  let t = create cfg in
+let run ?obs cfg program =
+  let t = create ?obs cfg in
   exec t program;
   report t
 

@@ -31,12 +31,23 @@ exception Threads_lost of string
 
 type t
 
-val create : Olden_config.t -> t
-(** A fresh engine.  It captures the calling domain's trace, span and
-    monitor switches ({!Olden_trace.Trace.switch} and friends), so its
-    hot-path guards are field reads; sinks installed on this domain
-    after [create] are still seen.  The engine belongs to this domain:
-    see {!exec}. *)
+val create : ?obs:Obs.sinks -> Olden_config.t -> t
+(** A fresh engine recording into the sinks [obs] names (default
+    {!Obs.none}: nothing, and nothing allocated for it).  The engine
+    builds the run's emitters from them ({!Obs.start}) — a fresh trace
+    context and span state, and, when [obs.monitor_interval] is set, a
+    {!Olden_monitor.Monitor} over its own machine and recovery layer —
+    and hands them to the machine, cache, directory, recovery and
+    failover layers, whose hooks then guard on one field read.  No sink
+    is looked up per hook, so two engines on one domain record
+    independently, and an engine may run on any domain. *)
+
+val obs : t -> Obs.t
+(** The run's emitters, for hooks that run inside its threads (the
+    serving completion hook). *)
+
+val monitor : t -> Olden_monitor.Monitor.t option
+(** The monitor the engine built, when [obs.monitor_interval] was set. *)
 
 val memory : t -> Memory.t
 (** The distributed heap — direct access for post-run verification (reads
@@ -59,10 +70,10 @@ val config : t -> Olden_config.t
 
 val exec : t -> (unit -> unit) -> unit
 (** Run a program to completion as the initial thread on processor 0.
-    Exceptions raised by the program propagate.
-    @raise Invalid_argument if called on a domain other than the one
-    that created the engine (its captured observability switches would
-    belong to another domain). *)
+    Exceptions raised by the program propagate; when the run has a
+    flight recorder, one that escapes the scheduler (an
+    {!Machine.Undeliverable} message, {!Threads_lost}, a program error)
+    first dumps it with {!flight_state}, as a {!Deadlock} does. *)
 
 val inject :
   t ->
@@ -107,14 +118,19 @@ val phase_snapshots : t -> (string * int * Stats.t) list
 val flight_state : t -> string list
 (** One line per processor (clock, busy/comm cycles, queued events,
     work-list depth, last span id) — the machine-state section of a
-    flight-recorder dump ({!Olden_span.Span.flight_dump}). *)
+    flight-recorder dump. *)
+
+val flight_dump : t -> reason:string -> string option
+(** Dump the run's flight recorder with {!flight_state}
+    ({!Olden_span.Span.flight_dump}); the path written, or [None] when
+    the run has no flight recorder. *)
 
 val interval : t -> start:string -> stop:string option -> int * Stats.t
 (** Duration and statistics of the region between two phase marks (or
     from [start] to the end of the run).
     @raise Invalid_argument if [start] was never marked. *)
 
-val run : Olden_config.t -> (unit -> unit) -> report
+val run : ?obs:Obs.sinks -> Olden_config.t -> (unit -> unit) -> report
 (** [create] + [exec] + [report]. *)
 
 (** {2 Fast-path operation entry points}

@@ -429,6 +429,7 @@ let run ?(scale = 64) ~(cfg : C.t) ~(spec : C.Serving.spec) ~mix heap =
               + cfg.C.costs.C.net_latency
             in
             let seed = spec.C.Serving.arrival_seed in
+            let obs = Engine.obs engine in
             List.iter
               (fun a ->
                 let draw salt =
@@ -441,11 +442,13 @@ let run ?(scale = 64) ~(cfg : C.t) ~(spec : C.Serving.spec) ~mix heap =
                 Engine.inject engine ~proc:ingress ~ready_at:admitted_at
                   ~on_complete:(fun ~proc ~finish ->
                     let cycles = finish - admitted_at in
-                    if Monitor.is_on () then
-                      Monitor.request ~klass:(klass_name k) ~cycles;
-                    if Span.is_on () then
-                      Span.root ~kind:Span.Request ~proc ~t0:admitted_at
-                        ~t1:finish ~a:(klass_code k) ~b:ingress)
+                    (match obs.Obs.monitor with
+                    | Some m -> Monitor.request m ~klass:(klass_name k) ~cycles
+                    | None -> ());
+                    if Span.on obs.Obs.span then
+                      Span.root obs.Obs.span ~kind:Span.Request ~proc
+                        ~t0:admitted_at ~t1:finish ~a:(klass_code k)
+                        ~b:ingress)
                   (fun () -> acc := mix2 !acc (server.request k payload)))
               arr;
             (* the checksum folds in completion order and is read after

@@ -1,57 +1,28 @@
 (** Bounded allocation-free flight recorder for span events.
 
-    A fixed ring of int slots retains the last [capacity] span events
-    while enabled; on a failure (deadlock, undeliverable message,
-    invariant violation) {!dump} writes them — plus caller-supplied
-    machine state — to a file for post-mortem debugging.  Recording costs
-    a few integer stores per event and never allocates; the ring contents
-    survive {!disable} so a top-level exception handler can still dump
-    after cleanup.  Kind codes are opaque here; the span layer
-    ({!Span.flight_dump}) renders them. *)
+    A fixed ring of int slots retains the last [capacity] span events of
+    one run; on a failure (deadlock, undeliverable message, invariant
+    violation) {!dump} writes them — plus caller-supplied machine state —
+    to the recorder's path for post-mortem debugging.  Recording costs a
+    few integer stores per event and never allocates.  Kind codes are
+    opaque here; the span layer ({!Span.flight_dump}) renders them. *)
 
-type recorder
-(** One domain's ring, dump path and enabled flag.  Mutated in place
-    and never replaced. *)
+type t
+(** One run's ring and dump path. *)
 
-val recorder : unit -> recorder
-(** The calling domain's recorder. *)
-
-val fields : int
-(** Ints per recorded event: trace_proc, trace_seq, id, parent, kind
-    code, proc, t0, t1, a, b. *)
-
-val default_capacity : int
-
-val enable : ?capacity:int -> unit -> unit
-(** Start recording into a fresh ring (allocated once per capacity).
+val create : ?capacity:int -> path:string -> unit -> t
+(** A fresh ring of [capacity] events (default 512) that {!dump} writes
+    to [path].
     @raise Invalid_argument if [capacity < 1]. *)
 
-val disable : unit -> unit
-val is_enabled : unit -> bool
-
-val enabled : recorder -> bool
-(** Whether the given recorder is recording; a field read, no lookup. *)
-
-val capacity : unit -> int
-
-val recorded : unit -> int
-(** Events ever recorded since {!enable} (may exceed the capacity). *)
-
-val set_path : string -> unit
-(** Where {!dump} writes (default ["flight-recorder.dump"]). *)
-
-val get_path : unit -> string
-
 val note :
-  recorder -> tp:int -> ts:int -> id:int -> parent:int -> kind:int ->
-  proc:int -> t0:int -> t1:int -> a:int -> b:int -> unit
-(** Record one event into the given recorder; the caller guards on
-    {!enabled}.  Allocation-free. *)
-
-val events : unit -> int array array
-(** Retained events, oldest first, each a [fields]-slot array. *)
+  t -> tp:int -> ts:int -> id:int -> parent:int -> kind:int -> proc:int ->
+  t0:int -> t1:int -> a:int -> b:int -> unit
+(** Record one event.  Allocation-free. *)
 
 val dump :
-  reason:string -> state:string list -> render:(int array -> string) ->
-  unit -> string option
-(** Write the dump file; [None] when the recorder was never enabled. *)
+  t -> reason:string -> state:string list -> render:(int array -> string) ->
+  string
+(** Write the dump file; returns its path.  [render] names one event,
+    given as its slots: trace proc, trace seq, id, parent, kind code,
+    proc, t0, t1, a, b. *)

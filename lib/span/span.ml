@@ -2,7 +2,7 @@
 
    Every dereference opens a *root* span identified by a trace id
    (origin processor, per-processor sequence number); the engine and the
-   machine layer then emit *child* spans under an ambient context — the
+   machine layer then emit *child* spans under the run's trace context — the
    current trace id plus the current parent span id — which is saved
    into scheduled-event closures and restored when they run, so
    migration legs, return stubs, retransmits, duplicate-suppressed
@@ -20,15 +20,14 @@
      (fault decisions, retries, RPC envelopes) that explain *why* the
      hops took as long as they did.
 
-   Like {!Trace}, emission must cost nothing when off: the engine and
-   machine layers capture the domain's {!switch} when they are created,
-   and every hot site is guarded by [on sw], one field read of a record
-   they already hold ([is_on ()] adds a [Domain.DLS.get], for cold
-   callers).  The sink has two consumers with different cost budgets:
-   the collector (allocates one record per kept span, for export, explain
-   and tests) and the flight recorder ({!Flight}, a fixed int ring that is
-   allocation-free and can stay on for whole chaos runs).  [on] is true
-   when either is active. *)
+   Like {!Trace}, emission must cost nothing when off: the run's span
+   state is a value the engine is created with and hands to the layers
+   beneath it, and every hot site is guarded by [on sp], one field read
+   of a record they already hold.  The state has two consumers with
+   different cost budgets: the collector (allocates one record per kept
+   span, for export, explain and tests) and the flight recorder
+   ({!Flight}, a fixed int ring that is allocation-free and can stay on
+   for whole chaos runs).  [on] is true when either is attached. *)
 
 module Json = Olden_trace.Json
 
@@ -354,24 +353,21 @@ module Collector = struct
   let retention c = { folds = folds c; exemplars = exemplars c }
 end
 
-(* --- The sink ----------------------------------------------------------- *)
+(* --- The run's span state ------------------------------------------------- *)
 
-(* All ambient span state — the collector, the flight recorder, the
-   in-flight trace context, and the per-processor sequence/last-span
-   arrays — lives in one record behind a domain-local key: engines
-   running on different domains (the parallel sweep driver) keep fully
-   independent span streams, and [Span.reset] per run keeps each
-   stream's ids deterministic.  The record is mutated in place and never
-   replaced, so a [switch] captured before [install] or [flight_enable]
-   sees them.  Functions that take the switch do no lookup at all; the
-   others ([child], [enter], ...) make one per call. *)
+(* Everything one run's spans need — the collector, the flight recorder,
+   the in-flight trace context, and the per-processor sequence/last-span
+   arrays — lives in one record the engine is created with and hands to
+   the layers beneath it.  Two engines, on one domain or on several,
+   never share it, and a fresh record restarts ids and sequences, so
+   same-seed runs export byte-identical spans.  A run with neither
+   consumer shares [off], which nothing writes: every write is guarded
+   on [on]. *)
 
-let max_procs = 1024
-
-type state = {
-  mutable on : bool; (* collector installed or flight recorder enabled *)
-  mutable collector : Collector.t option;
-  flight : Flight.recorder; (* this domain's ring *)
+type t = {
+  on : bool; (* a collector or a flight recorder is attached *)
+  collector : Collector.t option;
+  flight : Flight.t option;
   mutable next_id : int;
   mutable ctx_tp : int; (* trace id of the episode in flight, -1 when none *)
   mutable ctx_ts : int;
@@ -384,60 +380,27 @@ type state = {
   last_span : int array; (* last span id emitted per proc *)
 }
 
-let key =
-  Domain.DLS.new_key (fun () ->
-      {
-        on = false;
-        collector = None;
-        flight = Flight.recorder ();
-        next_id = 0;
-        ctx_tp = -1;
-        ctx_ts = -1;
-        ctx_parent = -1;
-        root_id = -1;
-        root_t0 = 0;
-        root_proc = -1;
-        root_kind = Deref;
-        root_seq = Array.make max_procs 0;
-        last_span = Array.make max_procs (-1);
-      })
+let create ?collector ?flight ~nprocs () =
+  {
+    on = collector <> None || flight <> None;
+    collector;
+    flight;
+    next_id = 0;
+    ctx_tp = -1;
+    ctx_ts = -1;
+    ctx_parent = -1;
+    root_id = -1;
+    root_t0 = 0;
+    root_proc = -1;
+    root_kind = Deref;
+    root_seq = Array.make nprocs 0;
+    last_span = Array.make nprocs (-1);
+  }
 
-let state () = Domain.DLS.get key
+let off = create ~nprocs:0 ()
+let on g = g.on
 
-let refresh_on g = g.on <- g.collector <> None || Flight.enabled g.flight
-
-type switch = state
-
-let switch = state
-let on (g : switch) = g.on
-let is_on () = (state ()).on
-
-let install c =
-  let g = state () in
-  if g.collector <> None then
-    invalid_arg "Span.install: a collector is already installed";
-  g.collector <- Some c;
-  refresh_on g
-
-(* Dropping the reference matters: the collector holds the whole run's
-   spans, and the state outlives the run. *)
-let uninstall () =
-  let g = state () in
-  g.collector <- None;
-  refresh_on g
-
-let flight_enable ?capacity () =
-  Flight.enable ?capacity ();
-  refresh_on (state ())
-
-let flight_disable () =
-  Flight.disable ();
-  refresh_on (state ())
-
-let flight_set_path = Flight.set_path
-let flight_path = Flight.get_path
-
-(* --- Ambient context ---------------------------------------------------- *)
+(* --- Trace context ------------------------------------------------------- *)
 
 type saved = {
   s_tp : int;
@@ -490,19 +453,12 @@ let clear g =
   g.root_proc <- -1;
   g.root_kind <- Deref
 
-let reset () =
-  let g = state () in
-  g.next_id <- 0;
-  clear g;
-  Array.fill g.root_seq 0 max_procs 0;
-  Array.fill g.last_span 0 max_procs (-1)
-
 let trace_proc g = g.ctx_tp
-let parent () = (state ()).ctx_parent
+let parent g = g.ctx_parent
 let root_open g = g.root_id >= 0
 
-let last_span_on proc =
-  if proc < max_procs then (state ()).last_span.(proc) else -1
+let last_span_on g proc =
+  if proc < Array.length g.last_span then g.last_span.(proc) else -1
 
 (* --- Emission ----------------------------------------------------------- *)
 
@@ -511,10 +467,12 @@ let last_span_on proc =
    flight-only path (chaos runs) allocation-free.  [note] is everything
    but the collector: what a folded root still does. *)
 let note g ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
-  if proc >= 0 && proc < max_procs then g.last_span.(proc) <- id;
-  if Flight.enabled g.flight then
-    Flight.note g.flight ~tp ~ts ~id ~parent ~kind:(kind_code kind) ~proc ~t0
-      ~t1 ~a ~b
+  if proc >= 0 && proc < Array.length g.last_span then g.last_span.(proc) <- id;
+  match g.flight with
+  | Some f ->
+      Flight.note f ~tp ~ts ~id ~parent ~kind:(kind_code kind) ~proc ~t0 ~t1
+        ~a ~b
+  | None -> ()
 
 let keep c ~tp ~ts ~id ~parent ~kind ~proc ~t0 ~t1 ~a ~b =
   Collector.add c
@@ -566,41 +524,53 @@ let close_root g ~t1 ~a ~b =
 
 (* A complete root episode in one shot (used for request roots, emitted
    at completion).  Unlike [open_root]/[close_root] this never touches
-   the ambient context, so the dereference roots the request's body
+   the trace context, so the dereference roots the request's body
    opened and closed on its own clock are unaffected — the request root
    gets its own trace id and stands alone in the stream. *)
-let root ~kind ~proc ~t0 ~t1 ~a ~b =
-  let g = state () in
+let root g ~kind ~proc ~t0 ~t1 ~a ~b =
   let seq = g.root_seq.(proc) in
   g.root_seq.(proc) <- seq + 1;
   emit_raw g ~tp:proc ~ts:seq ~id:(fresh_id g) ~parent:(-1) ~kind ~proc ~t0
     ~t1 ~a ~b
 
-let child ~kind ~proc ~t0 ~t1 ~a ~b =
-  let g = state () in
+let child_in g ~kind ~proc ~t0 ~t1 ~a ~b =
   emit_raw g ~tp:g.ctx_tp ~ts:g.ctx_ts ~id:(fresh_id g) ~parent:g.ctx_parent
     ~kind ~proc ~t0 ~t1 ~a ~b
 
 (* Nested envelope spans (RPC, crash): reserve the id up front so fault
    events emitted inside attach to it, emit the envelope on exit.
-   Usage:  let prev = parent () in let id = enter () in
-           ... ; exit_emit ~id ~prev ~kind ... *)
-let enter () =
-  let g = state () in
+   Usage:  let prev = parent g in let id = enter g in
+           ... ; exit_emit g ~id ~prev ~kind ... *)
+let enter g =
   let id = fresh_id g in
   g.ctx_parent <- id;
   id
 
-let exit_emit ~id ~prev ~kind ~proc ~t0 ~t1 ~a ~b =
-  let g = state () in
+let exit_emit g ~id ~prev ~kind ~proc ~t0 ~t1 ~a ~b =
   g.ctx_parent <- prev;
   emit_raw g ~tp:g.ctx_tp ~ts:g.ctx_ts ~id ~parent:prev ~kind ~proc ~t0 ~t1
     ~a ~b
 
+(* --- Lookup forms -------------------------------------------------------- *)
+
+(* A domain-local slot for callers that hold no span state: [collect]
+   fills it for the duration of a thunk, and [is_on]/[child] read it.
+   Nothing in the simulator reads it; engines use their own state. *)
+let slot = Domain.DLS.new_key (fun () -> ref off)
+let is_on () = !(Domain.DLS.get slot).on
+
+let child ~kind ~proc ~t0 ~t1 ~a ~b =
+  let g = !(Domain.DLS.get slot) in
+  if g.on then child_in g ~kind ~proc ~t0 ~t1 ~a ~b
+
 let collect f =
   let c = Collector.create () in
-  install c;
-  Fun.protect ~finally:uninstall (fun () ->
+  let cell = Domain.DLS.get slot in
+  let prev = !cell in
+  cell := create ~collector:c ~nprocs:1 ();
+  Fun.protect
+    ~finally:(fun () -> cell := prev)
+    (fun () ->
       let result = f () in
       (result, Collector.spans c, Collector.retention c))
 
@@ -896,5 +866,7 @@ let render_flight_event ev =
     (kind_name (kind_of_code ev.(4)))
     ev.(5) ev.(6) ev.(7) ev.(8) ev.(9)
 
-let flight_dump ~reason ~state =
-  Flight.dump ~reason ~state ~render:render_flight_event ()
+let flight_dump g ~reason ~state =
+  Option.map
+    (fun f -> Flight.dump f ~reason ~state ~render:render_flight_event)
+    g.flight

@@ -2,12 +2,11 @@
     trace context (trace id = (origin proc, sequence), parent span id)
     that is propagated into scheduled cross-processor work, so migration
     legs, return stubs, retransmits, recovery messages, and crash
-    replays form one causal tree per episode.  Zero-cost when off: one
-    boolean load per hook.  On, a dereference that completes in place
-    allocates a {!span} record only if the collector keeps its root (see
-    {!section-retention}), and the hooks the engine calls once per
-    dereference take its captured {!switch}, so they make no
-    domain-local lookup. *)
+    replays form one causal tree per episode.  Every hook takes the
+    run's span state ({!t}) explicitly.  Zero-cost when off: one boolean
+    load per hook.  On, a dereference that completes in place allocates
+    a {!span} record only if the collector keeps its root (see
+    {!section-retention}). *)
 
 module Json = Olden_trace.Json
 
@@ -52,26 +51,21 @@ val kind_name : kind -> string
 val is_hop : kind -> bool
 val is_root : kind -> bool
 
-(** {1 Sink} *)
+(** {1 The run's span state} *)
 
-type switch
-(** The calling domain's span state, as a handle that can be tested
-    without a domain-local lookup. *)
+type t
+(** One run's spans: the collector and flight recorder it feeds, the
+    trace context of the episode in flight, and per-processor sequence
+    numbers.  The engine is created with it and hands it to the layers
+    beneath; a fresh state restarts ids and sequences. *)
 
-val switch : unit -> switch
-(** The calling domain's switch.  {!install}, {!uninstall},
-    {!flight_enable} and {!flight_disable} update this same record, so
-    a switch captured before them still sees them.  Capture it once,
-    where the instrumented layer is created, and use it only on that
-    domain. *)
+val off : t
+(** The state of a run with neither consumer, shared by every such run;
+    nothing writes it. *)
 
-val on : switch -> bool
-(** True when the collector or the flight recorder is active: one field
+val on : t -> bool
+(** True when a collector or a flight recorder is attached: one field
     read, the guard every hot instrumentation site uses. *)
-
-val is_on : unit -> bool
-(** [on (switch ())]: one [Domain.DLS.get] plus a field read, for cold
-    callers that hold no switch. *)
 
 (** {1:retention Retention}
 
@@ -132,92 +126,88 @@ module Collector : sig
   val retention : t -> retention
 end
 
-val install : Collector.t -> unit
-(** Make the collector this domain's span sink.
-    @raise Invalid_argument if a collector is already installed. *)
-
-val uninstall : unit -> unit
-(** Remove the collector and drop this domain's reference to it. *)
+val create :
+  ?collector:Collector.t -> ?flight:Flight.t -> nprocs:int -> unit -> t
+(** A fresh state for a run on [nprocs] processors feeding the given
+    consumers; {!on} is false when neither is given. *)
 
 (** {1 Flight recorder} *)
 
-val flight_enable : ?capacity:int -> unit -> unit
-(** Turn on the allocation-free ring recorder (see {!Flight}). *)
+val flight_dump : t -> reason:string -> state:string list -> string option
+(** Write the flight recorder's retained events plus per-processor state
+    lines to its path; [None] when the state has no flight recorder. *)
 
-val flight_disable : unit -> unit
-(** Stop recording; the ring contents are kept for a post-mortem
-    {!flight_dump}. *)
-
-val flight_set_path : string -> unit
-val flight_path : unit -> string
-
-val flight_dump : reason:string -> state:string list -> string option
-(** Write the retained events plus per-processor state lines to the
-    configured path; [None] if the recorder was never enabled. *)
-
-(** {1 Ambient context}
+(** {1 Trace context}
 
     The emitting side keeps the episode in flight as mutable context:
     the trace id, the current parent span id, and the open root.  All
-    writes are guarded by {!on} (or {!is_on}) at the call sites.  The
-    per-dereference hooks take the caller's captured {!switch}; the
-    rest look the domain's state up once per call. *)
+    writes are guarded by {!on} at the call sites. *)
 
 type saved
-(** Snapshot of the ambient context, captured into scheduled-event
+(** Snapshot of the trace context, captured into scheduled-event
     closures ([save]) and reinstated when they run ([restore]) — this is
     how the trace context crosses the wire. *)
 
 val no_ctx : saved
 (** Preallocated empty snapshot (for closures built while off). *)
 
-val save : switch -> saved
-val restore : switch -> saved -> unit
-val clear : switch -> unit
+val save : t -> saved
+val restore : t -> saved -> unit
+val clear : t -> unit
 
-val reset : unit -> unit
-(** Restart ids and per-processor sequences (once per [exec]), so
-    same-seed runs export byte-identical spans. *)
-
-val root_open : switch -> bool
-val open_root : switch -> kind:kind -> proc:int -> t0:int -> unit
-val close_root : switch -> t1:int -> a:int -> b:int -> unit
+val root_open : t -> bool
+val open_root : t -> kind:kind -> proc:int -> t0:int -> unit
+val close_root : t -> t1:int -> a:int -> b:int -> unit
 (** Emit the open root (parent -1) and clear the context; no-op when no
     root is open. *)
 
-val root : kind:kind -> proc:int -> t0:int -> t1:int -> a:int -> b:int -> unit
+val root :
+  t -> kind:kind -> proc:int -> t0:int -> t1:int -> a:int -> b:int -> unit
 (** Emit one complete root episode (parent -1) under a fresh trace id
-    without touching the ambient context — used for request roots, which
+    without touching the trace context — used for request roots, which
     are recorded at completion so the dereference roots inside the
     request body keep their own episodes. *)
 
-val child : kind:kind -> proc:int -> t0:int -> t1:int -> a:int -> b:int -> unit
+val child_in :
+  t -> kind:kind -> proc:int -> t0:int -> t1:int -> a:int -> b:int -> unit
 (** Emit one span under the current context. *)
 
-val parent : unit -> int
-val enter : unit -> int
+val parent : t -> int
+
+val enter : t -> int
 (** Reserve a fresh span id and make it the current parent — children
     emitted until the matching {!exit_emit} nest under it. *)
 
 val exit_emit :
-  id:int -> prev:int -> kind:kind -> proc:int -> t0:int -> t1:int -> a:int ->
-  b:int -> unit
+  t -> id:int -> prev:int -> kind:kind -> proc:int -> t0:int -> t1:int ->
+  a:int -> b:int -> unit
 (** Emit the envelope span reserved by {!enter} and restore [prev] as
     the parent. *)
 
-val trace_proc : switch -> int
+val trace_proc : t -> int
 (** Origin processor of the episode in flight (-1 when none). *)
 
-val last_span_on : int -> int
+val last_span_on : t -> int -> int
 (** Last span id emitted on a processor (-1 if none) — surfaces in the
-    deadlock report. *)
+    deadlock report and the flight-recorder dump. *)
 
-(** {1 Collection & export} *)
+(** {1 Lookup forms}
+
+    For callers that hold no span state: {!collect} attaches a collector
+    to a domain-local slot for the duration of a thunk, and {!is_on} and
+    {!child} read that slot.  Engines never read it. *)
+
+val is_on : unit -> bool
+(** Whether a {!collect} is running on this domain. *)
+
+val child : kind:kind -> proc:int -> t0:int -> t1:int -> a:int -> b:int -> unit
+(** {!child_in} on the slot's state; a no-op outside {!collect}. *)
 
 val collect : (unit -> 'a) -> 'a * span array * retention
-(** Run [f] with a fresh collector installed; returns its result, the
-    kept spans in emission order, and the folds and exemplars.
-    @raise Invalid_argument if a collector is already installed. *)
+(** Run [f] with a fresh collector in the slot; returns its result, the
+    kept spans in emission order, and the folds and exemplars. *)
+
+(** {1 Collection & export} *)
 
 val span_json : span -> Json.t
 

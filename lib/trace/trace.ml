@@ -1,16 +1,14 @@
 (* Structured event tracing for the Olden runtime.
 
    The engine, the cache system, and the coherence directories emit
-   events into a single per-domain sink.  Tracing must cost nothing
-   when it is off: each of those layers captures the domain's {!switch}
-   once, when it is created, and every emission site is written
+   events into the run's emitter, a value the engine is created with
+   and hands to the layers beneath it.  Tracing must cost nothing when
+   it is off: every emission site is written
 
-     if Trace.on t.trace then Trace.emit { ... }
+     if Trace.on t.trace then Trace.emit t.trace { ... }
 
-   so with no sink installed the only work done is one field read of a
-   record the layer already holds — no event record is ever allocated
-   and no domain-local lookup is made.  [emit] itself re-checks the sink
-   so a stray unguarded call is still safe.
+   so with no sink the only work done is one field read of a record the
+   layer already holds — no event record is ever allocated.
 
    Events are stamped with simulated time, processor, thread id, and
    dereference-site id.  The engine knows its current thread and site;
@@ -59,52 +57,28 @@ type event = {
 
 (* --- The sink ---------------------------------------------------------- *)
 
-(* All emitter state — the installed sink and the ambient thread/site
-   context — lives in one record behind a domain-local key, so engines
-   running on different domains (the parallel sweep driver) trace
-   independently.  [install] and [uninstall] mutate that record in place
-   and nothing ever replaces it, so a record captured with [switch] sees
-   every later install on its domain; the hot layers guard on a captured
-   record and pay one field read, not a [Domain.DLS.get]. *)
-type emitter = {
-  mutable on : bool;
-  mutable sink : event -> unit;
+(* One run's emitter: the sink and the thread/site context the engine
+   deposits for the cache and directory layers beneath it.  A run with
+   no sink shares [off], whose context is never written (every write is
+   guarded on [on]). *)
+type t = {
+  on : bool;
+  sink : event -> unit;
   mutable cur_tid : int;
   mutable cur_site : int;
 }
 
-let emitter_key =
-  Domain.DLS.new_key (fun () ->
-      { on = false; sink = (fun _ -> ()); cur_tid = -1; cur_site = -1 })
-
-let emitter () = Domain.DLS.get emitter_key
-
-type switch = emitter
-
-let switch = emitter
-let on (e : switch) = e.on
-let is_on () = (emitter ()).on
-
-let install sink =
-  let e = emitter () in
-  e.sink <- sink;
-  e.on <- true
-
-let uninstall () =
-  let e = emitter () in
-  e.on <- false;
-  e.sink <- (fun _ -> ())
-
-let emit ev =
-  let e = emitter () in
-  if e.on then e.sink ev
+let off = { on = false; sink = ignore; cur_tid = -1; cur_site = -1 }
+let create sink = { on = true; sink; cur_tid = -1; cur_site = -1 }
+let on t = t.on
+let emit t ev = t.sink ev
 
 (* --- Emitter context --------------------------------------------------- *)
 
-let set_thread tid = (emitter ()).cur_tid <- tid
-let set_site site = (emitter ()).cur_site <- site
-let thread () = (emitter ()).cur_tid
-let site () = (emitter ()).cur_site
+let set_thread t tid = t.cur_tid <- tid
+let set_site t site = t.cur_site <- site
+let thread t = t.cur_tid
+let site t = t.cur_site
 
 (* --- Collector --------------------------------------------------------- *)
 
@@ -129,13 +103,6 @@ module Collector = struct
     Array.init c.len (fun i ->
         match c.arr.(i) with Some ev -> ev | None -> assert false)
 end
-
-let collect f =
-  let c = Collector.create () in
-  install (Collector.add c);
-  Fun.protect ~finally:uninstall (fun () ->
-      let result = f () in
-      (result, Collector.events c))
 
 (* --- Names and structured arguments ------------------------------------ *)
 

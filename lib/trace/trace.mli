@@ -1,14 +1,14 @@
 (** Structured event tracing for the Olden runtime.
 
-    A single per-domain sink receives every event the engine, cache
-    system, and coherence directories emit.  Tracing is zero-cost when
-    disabled: each of those layers captures the domain's {!switch} when
-    it is created, and emission sites are written
+    The run's emitter ({!t}) receives every event the engine, cache
+    system, and coherence directories emit; the engine is created with
+    it and hands it to the layers beneath.  Tracing is zero-cost when
+    disabled: emission sites are written
 
-    {[ if Trace.on t.trace then Trace.emit { ... } ]}
+    {[ if Trace.on t.trace then Trace.emit t.trace { ... } ]}
 
-    so with no sink installed nothing is allocated — only one field of
-    an already-held record is read.  Event streams are deterministic:
+    so with no sink nothing is allocated — only one field of an
+    already-held record is read.  Event streams are deterministic:
     the engine is a pure function of the program and configuration, and
     events are emitted in scheduling order. *)
 
@@ -66,29 +66,22 @@ type event = {
   kind : kind;
 }
 
-type switch
-(** The calling domain's emitter, as a handle that can be tested
-    without a domain-local lookup. *)
+type t
+(** One run's emitter: a sink plus the thread/site context the engine
+    deposits for the layers beneath it. *)
 
-val switch : unit -> switch
-(** The calling domain's switch.  It is the same record {!install} and
-    {!uninstall} update, so a switch captured before a sink is installed
-    still sees it.  Capture it once, where the emitting layer is
-    created, and use it only on that domain. *)
+val off : t
+(** The emitter of a run with no sink, shared by every such run. *)
 
-val on : switch -> bool
-(** Whether a sink is installed: one field read.  Hot emission sites
+val create : (event -> unit) -> t
+(** A fresh emitter delivering to the sink; one per run. *)
+
+val on : t -> bool
+(** Whether the emitter has a sink: one field read.  Emission sites
     guard on this so the disabled path allocates nothing. *)
 
-val is_on : unit -> bool
-(** [on (switch ())]: one [Domain.DLS.get] plus a field read, for cold
-    callers that hold no switch. *)
-
-val install : (event -> unit) -> unit
-val uninstall : unit -> unit
-
-val emit : event -> unit
-(** Deliver to the sink; a no-op when tracing is off. *)
+val emit : t -> event -> unit
+(** Deliver to the sink; a no-op for {!off}. *)
 
 (** {2 Emitter context}
 
@@ -96,10 +89,10 @@ val emit : event -> unit
     know the current thread or dereference site; the engine deposits
     them here (guarded, so this too is free when tracing is off). *)
 
-val set_thread : int -> unit
-val set_site : int -> unit
-val thread : unit -> int
-val site : unit -> int
+val set_thread : t -> int -> unit
+val set_site : t -> int -> unit
+val thread : t -> int
+val site : t -> int
 
 (** {2 Collecting} *)
 
@@ -111,10 +104,6 @@ module Collector : sig
   val length : t -> int
   val events : t -> event array
 end
-
-val collect : (unit -> 'a) -> 'a * event array
-(** Run a thunk with a fresh collector installed; uninstalls afterwards
-    (also on exception). *)
 
 (** {2 Names and serialization} *)
 

@@ -14,18 +14,13 @@ let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "trace" in
   Site.reset ();
   let cfg = Config.make ~nprocs:2 () in
+  let h = B.Common.hooks () in
+  h.record_spans <- mode = "spans";
+  h.record_trace <- mode <> "spans";
+  let o = B.Treeadd.spec.B.Common.run cfg ~scale:1_000_000 in
+  assert o.B.Common.ok;
   match mode with
   | "spans" ->
-      let o, spans, r =
-        Span.collect (fun () ->
-            B.Treeadd.spec.B.Common.run cfg ~scale:1_000_000)
-      in
-      assert o.B.Common.ok;
-      print_string (Span.jsonl ~folds:r.Span.folds spans)
-  | _ ->
-      let o, events =
-        Trace.collect (fun () ->
-            B.Treeadd.spec.B.Common.run cfg ~scale:1_000_000)
-      in
-      assert o.B.Common.ok;
-      print_string (Jsonl.to_string events)
+      let r = Option.get h.last_retention in
+      print_string (Span.jsonl ~folds:r.Span.folds (Option.get h.last_spans))
+  | _ -> print_string (Jsonl.to_string (Option.get h.last_trace))

@@ -288,7 +288,7 @@ let test_directory_timestamps () =
 
 let mk_system ?(nprocs = 4) ?(coherence = Config.Local) () =
   let cfg = Config.make ~nprocs ~coherence () in
-  let machine = Machine.create cfg in
+  let machine = Machine.create ~obs:Obs.off cfg in
   let memory = Memory.create ~nprocs in
   (Cache_system.create cfg machine memory, machine, memory)
 
@@ -427,7 +427,7 @@ let test_full_flush_without_refinement () =
     Config.make ~nprocs:4 ~coherence:Config.Local
       ~return_invalidate_refinement:false ()
   in
-  let machine = Machine.create cfg in
+  let machine = Machine.create ~obs:Obs.off cfg in
   let memory = Memory.create ~nprocs:4 in
   let sys = Cache_system.create cfg machine memory in
   let a = Memory.alloc memory ~proc:1 4 in

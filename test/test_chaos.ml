@@ -31,7 +31,7 @@ let test_scale (s : B.Common.spec) =
 
 let snapshot (s : B.Common.spec) cfg ~scale =
   Site.reset ();
-  let o, events = Trace.collect (fun () -> s.B.Common.run cfg ~scale) in
+  let o, events = Obs_run.traced (fun () -> s.B.Common.run cfg ~scale) in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
   (o, Json.to_string (B.Common.metrics_snapshot ~events s ~cfg ~scale o))
 

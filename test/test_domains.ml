@@ -41,7 +41,7 @@ let snapshot ?faults (s : B.Common.spec) =
   Site.reset ();
   let cfg = Config.make ~nprocs:8 ?faults () in
   let scale = test_scale s in
-  let o, events = Trace.collect (fun () -> s.B.Common.run cfg ~scale) in
+  let o, events = Obs_run.traced (fun () -> s.B.Common.run cfg ~scale) in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
   Json.to_string (B.Common.metrics_snapshot ~events s ~cfg ~scale o)
 
@@ -312,7 +312,7 @@ let spans_jsonl (s : B.Common.spec) =
   Site.reset ();
   let cfg = Config.make ~nprocs:8 () in
   let o, spans, kept =
-    Span.collect (fun () -> s.B.Common.run cfg ~scale:(test_scale s))
+    Obs_run.spanned (fun () -> s.B.Common.run cfg ~scale:(test_scale s))
   in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
   Span.jsonl ~folds:kept.Span.folds spans

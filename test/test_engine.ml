@@ -291,6 +291,20 @@ let prop_tree_sum_any_shape =
           total := Ops.call (fun () -> sum root) - expected);
       !total = 0)
 
+(* Processor sets are bit masks in one int: a machine the masks cannot
+   hold is refused where it is configured, not part-way through a run. *)
+let test_nprocs_range () =
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "nprocs %d" n)
+        (Invalid_argument
+           (Printf.sprintf "Olden_config.make: nprocs %d is outside [1, %d]" n
+              Config.max_nprocs))
+        (fun () -> ignore (Config.make ~nprocs:n ())))
+    [ 0; -1; Config.max_nprocs + 1 ];
+  let r = Engine.run (Config.make ~nprocs:Config.max_nprocs ()) (fun () -> ()) in
+  Alcotest.(check int) "the largest machine runs" 0 r.Engine.makespan
+
 let suite =
   [
     Alcotest.test_case "work charges the clock" `Quick test_work_charges_clock;
@@ -318,5 +332,7 @@ let suite =
     Alcotest.test_case "sequential mode" `Quick test_sequential_mode;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "remote alloc" `Quick test_remote_alloc_cost;
+    Alcotest.test_case "nprocs outside the masks is refused" `Quick
+      test_nprocs_range;
     QCheck_alcotest.to_alcotest prop_tree_sum_any_shape;
   ]

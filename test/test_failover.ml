@@ -35,7 +35,7 @@ let test_scale (s : B.Common.spec) =
 
 let snapshot (s : B.Common.spec) cfg ~scale =
   Site.reset ();
-  let o, events = Trace.collect (fun () -> s.B.Common.run cfg ~scale) in
+  let o, events = Obs_run.traced (fun () -> s.B.Common.run cfg ~scale) in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
   (o, Json.to_string (B.Common.metrics_snapshot ~events s ~cfg ~scale o))
 
@@ -248,7 +248,11 @@ let test_unreplicated_threads_abort () =
       ~replication:{ Config.stride = 1; threads = false }
       ()
   in
-  let engine = Engine.create cfg in
+  (* the engine holds the flight recorder, so the abort is dumped with
+     the per-processor state still in hand *)
+  let path = Filename.temp_file "olden_flight" ".dump" in
+  let obs = { Obs.none with flight = Some (Flight.create ~path ()) } in
+  let engine = Engine.create ~obs cfg in
   let fo = Option.get (Engine.failover engine) in
   Failover.schedule_failstop fo ~proc:1 ~at:0;
   let mig = Site.migrate "failover.t->lost" in
@@ -269,7 +273,25 @@ let test_unreplicated_threads_abort () =
   let s = Machine.stats (Engine.machine engine) in
   check int "the loss is counted" 1 s.Stats.threads_lost;
   check int "the death still went through the protocol" 1
-    (Failover.failstops fo)
+    (Failover.failstops fo);
+  let dump = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  check bool "dump states the report" true
+    (contains dump "reason: p1 fail-stopped");
+  let rec after = function
+    | "machine state:" :: rest -> rest
+    | _ :: rest -> after rest
+    | [] -> []
+  in
+  let rec until_events = function
+    | l :: rest when l <> "last events (oldest first):" ->
+        l :: until_events rest
+    | _ -> []
+  in
+  let state = until_events (after (String.split_on_char '\n' dump)) in
+  check (Alcotest.list string) "one machine-state line per processor"
+    (List.init 4 (Printf.sprintf "  p%d clock="))
+    (List.map (fun l -> String.sub l 0 (min (String.length l) 11)) state)
 
 let test_replica_traffic_flows () =
   (* with replication on and no deaths, every write-through store at a
@@ -335,7 +357,8 @@ let test_undeliverable_all_schemes () =
         { Config.no_faults with Config.drop = 1.0; fault_seed = 1 }
       in
       let m =
-        Machine.create (Config.make ~nprocs:4 ~coherence ~faults ())
+        Machine.create ~obs:Obs.off
+          (Config.make ~nprocs:4 ~coherence ~faults ())
       in
       match
         Machine.request_reply ~klass m ~src:0 ~dst:3 ~service:80

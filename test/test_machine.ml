@@ -6,7 +6,8 @@ let check = Alcotest.check
 let int = Alcotest.int
 
 let mk ?(nprocs = 4) ?(contention = false) () =
-  Machine.create (Config.make ~nprocs ~handler_contention:contention ())
+  Machine.create ~obs:Obs.off
+    (Config.make ~nprocs ~handler_contention:contention ())
 
 let test_advance () =
   let m = mk () in

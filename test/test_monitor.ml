@@ -275,11 +275,12 @@ let test_jsonl_shape () =
 (* --- Off means off -------------------------------------------------------- *)
 
 let test_off_by_default () =
-  check bool "no monitor installed" false (Monitor.is_on ());
-  (* the hooks are no-ops rather than errors when nothing is installed *)
-  Monitor.tick (Monitor.switch ()) 1_000;
-  Monitor.deref ~sid:0 ~mech:Monitor.Cache ~cycles:10;
-  Monitor.retry_wait ~cycles:5
+  let e = Engine.create (Config.make ~nprocs:2 ()) in
+  check bool "an engine asked for no monitor builds none" true
+    (Option.is_none (Engine.monitor e));
+  (* the lookup form is a no-op rather than an error when nothing is
+     installed *)
+  Monitor.deref ~sid:0 ~mech:Monitor.Cache ~cycles:10
 
 (* --- Allocation-free recording ------------------------------------------- *)
 
@@ -332,8 +333,7 @@ let quiet_probe =
 
 let with_monitor f =
   let m = Monitor.create ~interval:1_000_000 ~nprocs:1 ~probe:quiet_probe in
-  Monitor.install m;
-  Fun.protect ~finally:Monitor.uninstall (fun () -> f ());
+  f m;
   m
 
 let test_site_order () =
@@ -348,9 +348,9 @@ let test_site_order () =
           Random.State.int rng 100_000 ))
   in
   let m =
-    with_monitor (fun () ->
+    with_monitor (fun m ->
         List.iter
-          (fun (sid, mech, cycles) -> Monitor.deref ~sid ~mech ~cycles)
+          (fun (sid, mech, cycles) -> Monitor.deref_in m ~sid ~mech ~cycles)
           events)
   in
   (* the reference: one histogram per (sid, mechanism) in a Hashtbl,
@@ -404,15 +404,15 @@ let test_deref_allocation_free () =
   let calls = 100_000 in
   let words = ref 0. in
   ignore
-    (with_monitor (fun () ->
+    (with_monitor (fun m ->
          (* first observations create the per-site histograms *)
          for sid = 0 to 7 do
-           Monitor.deref ~sid ~mech:Monitor.Cache ~cycles:1;
-           Monitor.deref ~sid ~mech:Monitor.Migrate ~cycles:1
+           Monitor.deref_in m ~sid ~mech:Monitor.Cache ~cycles:1;
+           Monitor.deref_in m ~sid ~mech:Monitor.Migrate ~cycles:1
          done;
          let w0 = Gc.minor_words () in
          for i = 1 to calls do
-           Monitor.deref ~sid:(i land 7)
+           Monitor.deref_in m ~sid:(i land 7)
              ~mech:(if i land 8 = 0 then Monitor.Cache else Monitor.Migrate)
              ~cycles:(i * 37)
          done;
@@ -421,33 +421,6 @@ let test_deref_allocation_free () =
   check bool
     (Printf.sprintf "%.0f minor words over %d derefs" !words calls)
     true (!words <= 16.)
-
-(* A refused [Monitor.install] inside [Common.execute] (a monitor is
-   already installed) must undo the span collector, trace sink and
-   flight recorder installed before it. *)
-let test_refused_install_undoes_sinks () =
-  let h = B.Common.hooks () in
-  h.record_spans <- true;
-  h.record_trace <- true;
-  h.monitor_interval <- Some 10_000;
-  let cfg = Config.make ~nprocs:2 ~faults:(Config.Faults.mixed ~seed:1 ()) () in
-  ignore
-    (with_monitor (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             h.record_spans <- false;
-             h.record_trace <- false;
-             h.monitor_interval <- None)
-           (fun () ->
-             Alcotest.check_raises "second monitor refused"
-               (Invalid_argument
-                  "Monitor.install: a monitor is already installed")
-               (fun () ->
-                 ignore
-                   ((spec "TreeAdd").B.Common.run cfg ~scale:1_000_000)))));
-  check bool "no span collector or flight recorder left" false
-    (Span.is_on ());
-  check bool "no trace sink left" false (Trace.is_on ())
 
 let suite =
   [
@@ -472,6 +445,4 @@ let suite =
       `Quick test_site_order;
     Alcotest.test_case "deref recording allocates nothing" `Quick
       test_deref_allocation_free;
-    Alcotest.test_case "a refused install leaves no sink behind" `Quick
-      test_refused_install_undoes_sinks;
   ]

@@ -228,7 +228,7 @@ let test_treeadd_reconciles () =
   Site.reset ();
   let cfg = Config.make ~nprocs:8 () in
   let o, events =
-    Trace.collect (fun () -> B.Treeadd.spec.B.Common.run cfg ~scale:4096)
+    Obs_run.traced (fun () -> B.Treeadd.spec.B.Common.run cfg ~scale:4096)
   in
   check bool "verified" true o.B.Common.ok;
   let entries = Attribution.of_events ~costs:cfg.Config.costs events in
@@ -269,7 +269,7 @@ let test_em3d_stalls_match_comm () =
   Site.reset ();
   let cfg = Config.make ~nprocs:2 () in
   let o, events =
-    Trace.collect (fun () -> B.Em3d.spec.B.Common.run cfg ~scale:1024)
+    Obs_run.traced (fun () -> B.Em3d.spec.B.Common.run cfg ~scale:1024)
   in
   check bool "verified" true o.B.Common.ok;
   let entries = Attribution.of_events ~costs:cfg.Config.costs events in

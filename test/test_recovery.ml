@@ -33,7 +33,7 @@ let test_scale (s : B.Common.spec) =
 
 let snapshot (s : B.Common.spec) cfg ~scale =
   Site.reset ();
-  let o, events = Trace.collect (fun () -> s.B.Common.run cfg ~scale) in
+  let o, events = Obs_run.traced (fun () -> s.B.Common.run cfg ~scale) in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
   (o, Json.to_string (B.Common.metrics_snapshot ~events s ~cfg ~scale o))
 
@@ -275,7 +275,7 @@ let test_undeliverable_names_class () =
      "a cache fetch is stuck" and "a crashed processor cannot announce
      its recovery" *)
   let faults = { Config.no_faults with Config.drop = 1.0; fault_seed = 1 } in
-  let m = Machine.create (Config.make ~nprocs:4 ~faults ()) in
+  let m = Machine.create ~obs:Obs.off (Config.make ~nprocs:4 ~faults ()) in
   match
     Machine.request_reply ~klass:Fault_plan.Recovery m ~src:0 ~dst:3
       ~service:80

@@ -222,7 +222,7 @@ let test_cli_usage_errors () =
     (fun (args, expect) ->
       let outfile = tmp ".out" in
       let code =
-        Sys.command (Printf.sprintf "%s serve %s > %s 2>&1" exe args outfile)
+        Sys.command (Printf.sprintf "%s %s > %s 2>&1" exe args outfile)
       in
       let out = read_file outfile in
       check int (args ^ ": exit code") 2 code;
@@ -234,13 +234,19 @@ let test_cli_usage_errors () =
     [
       (* --rate=-1, not "--rate -1": cmdliner would eat the bare -1 as an
          unknown option before serve's validation sees it *)
-      ("treeadd --profile lognormal", "unknown --profile lognormal");
-      ("treeadd --rate=-1", "--rate must be positive");
-      ("treeadd --duration 0", "--duration must be at least 1 cycle");
-      ("treeadd --streams 0", "--streams must be at least 1");
-      ("treeadd --mix point=0", "weight");
-      ("treeadd --mix delete=1", "unknown");
-      ("btree", "unknown heap btree");
+      ("serve treeadd --profile lognormal", "unknown --profile lognormal");
+      ("serve treeadd --rate=-1", "--rate must be positive");
+      ("serve treeadd --duration 0", "--duration must be at least 1 cycle");
+      ("serve treeadd --streams 0", "--streams must be at least 1");
+      ("serve treeadd --mix point=0", "weight");
+      ("serve treeadd --mix delete=1", "unknown");
+      ("serve btree", "unknown heap btree");
+      (* a processor count the bit-mask sets cannot hold is a usage
+         error, not a crash part-way through the run *)
+      ("serve treeadd --procs 63", "--procs must be between 1 and");
+      ("serve treeadd --procs 0", "--procs must be between 1 and");
+      ("bench treeadd --procs 100", "--procs must be between 1 and");
+      ("spans treeadd --procs 70", "--procs must be between 1 and");
     ]
 
 let test_cli_serve_out () =
@@ -275,12 +281,10 @@ let test_csv_quoting () =
     }
   in
   let m = Monitor.create ~interval:1_000 ~nprocs:8 ~probe in
-  Monitor.install m;
-  Fun.protect ~finally:Monitor.uninstall (fun () ->
-      Monitor.request ~klass:"point,\"weird\"" ~cycles:100;
-      Monitor.request ~klass:"point,\"weird\"" ~cycles:300;
-      Monitor.request ~klass:"plain" ~cycles:200;
-      Monitor.finish m ~makespan:1_000);
+  Monitor.request m ~klass:"point,\"weird\"" ~cycles:100;
+  Monitor.request m ~klass:"point,\"weird\"" ~cycles:300;
+  Monitor.request m ~klass:"plain" ~cycles:200;
+  Monitor.finish m ~makespan:1_000;
   let csv = Monitor.latency_csv m in
   (* the comma and the doubled quotes stay inside one quoted field *)
   check bool "hostile label is quoted" true

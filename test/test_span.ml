@@ -5,10 +5,10 @@
    replaced, kept plus folded roots accounting for every dereference the
    monitor saw, exact hop tiling of migration episodes, the
    flight-recorder dump on a forced deadlock, zero perturbation of the
-   simulation whether tracing is on or off, and the observability
-   switches an engine captures at [create]: sinks installed after it
-   still receive everything, and the engine refuses to run on another
-   domain. *)
+   simulation whether tracing is on or off, and the explicit
+   observability context: two engines on one domain record apart, an
+   engine records the same on any domain, and nothing but its caller
+   keeps a collector alive. *)
 
 open Olden
 module B = Olden_benchmarks
@@ -43,7 +43,7 @@ let spanned ?faults ?(nprocs = 8) ?(coherence = Config.Local)
   Site.reset ();
   let cfg = Config.make ~nprocs ~coherence ?faults () in
   let o, spans, kept =
-    Span.collect (fun () -> s.B.Common.run cfg ~scale:(test_scale s))
+    Obs_run.spanned (fun () -> s.B.Common.run cfg ~scale:(test_scale s))
   in
   check bool (s.B.Common.name ^ " verified") true o.B.Common.ok;
   (o, spans, kept)
@@ -54,7 +54,7 @@ let run_treeadd () =
   Site.reset ();
   let cfg = Config.make ~nprocs:2 () in
   let o, spans, kept =
-    Span.collect (fun () ->
+    Obs_run.spanned (fun () ->
         B.Treeadd.spec.B.Common.run cfg ~scale:1_000_000)
   in
   check bool "verified" true o.B.Common.ok;
@@ -144,7 +144,7 @@ let monitored_spanned ?faults ?(nprocs = 8) ?(coherence = Config.Local)
     Fun.protect
       ~finally:(fun () -> (B.Common.hooks ()).monitor_interval <- None)
       (fun () ->
-        Span.collect (fun () -> s.B.Common.run cfg ~scale:(test_scale s)))
+        Obs_run.spanned (fun () -> s.B.Common.run cfg ~scale:(test_scale s)))
   in
   let m = Option.get (B.Common.hooks ()).last_monitor in
   (B.Common.hooks ()).last_monitor <- None;
@@ -278,21 +278,20 @@ let stream_gen =
 let prop_tail_matches_scan =
   QCheck.Test.make ~count:300 ~name:"exemplar tail matches the 16-slot scan"
     (QCheck.make stream_gen) (fun stream ->
-      Span.reset ();
-      let sw = Span.switch () in
+      let c = Span.Collector.create () in
+      let sp = Span.create ~collector:c ~nprocs:3 () in
       let seq = Array.make 3 0 in
-      let (), spans, kept =
-        Span.collect (fun () ->
-            List.iteri
-              (fun i (m, cycles) ->
-                Span.open_root sw ~kind:Span.Deref ~proc:(i mod 3) ~t0:0;
-                if i mod 7 = 3 then
-                  Span.child ~kind:Span.Rpc ~proc:0 ~t0:0 ~t1:0 ~a:0 ~b:0;
-                Span.close_root sw ~t1:cycles
-                  ~a:(if i mod 11 = 5 then -1 else i mod 5)
-                  ~b:m)
-              stream)
-      in
+      List.iteri
+        (fun i (m, cycles) ->
+          Span.open_root sp ~kind:Span.Deref ~proc:(i mod 3) ~t0:0;
+          if i mod 7 = 3 then
+            Span.child_in sp ~kind:Span.Rpc ~proc:0 ~t0:0 ~t1:0 ~a:0 ~b:0;
+          Span.close_root sp ~t1:cycles
+            ~a:(if i mod 11 = 5 then -1 else i mod 5)
+            ~b:m)
+        stream;
+      let spans = Span.Collector.spans c in
+      let kept = Span.Collector.retention c in
       let traced =
         List.mapi
           (fun i (m, cycles) ->
@@ -420,31 +419,25 @@ let test_hop_tiling () =
 
 let test_flight_dump_on_deadlock () =
   let path = Filename.temp_file "olden_flight" ".dump" in
-  Span.flight_set_path path;
-  Span.flight_enable ();
+  let obs = { Obs.none with flight = Some (Flight.create ~path ()) } in
   let site = Site.migrate "t.f" in
   let msg =
-    Fun.protect
-      ~finally:(fun () -> Span.flight_disable ())
-      (fun () ->
-        match
-          let engine = Engine.create (Config.make ~nprocs:4 ()) in
-          Engine.exec engine (fun () ->
-              let r = ref None in
-              let f =
-                Ops.future (fun () ->
-                    let a = Ops.alloc ~proc:1 2 in
-                    Ops.store_int site a 0 1;
-                    match !r with
-                    | Some g -> Ops.touch g
-                    | None -> Value.Int 0)
-              in
-              let g = Ops.future (fun () -> Ops.touch f) in
-              r := Some g;
-              ignore (Ops.touch f))
-        with
-        | exception Olden_runtime.Engine.Deadlock msg -> msg
-        | () -> Alcotest.fail "expected a deadlock")
+    match
+      let engine = Engine.create ~obs (Config.make ~nprocs:4 ()) in
+      Engine.exec engine (fun () ->
+          let r = ref None in
+          let f =
+            Ops.future (fun () ->
+                let a = Ops.alloc ~proc:1 2 in
+                Ops.store_int site a 0 1;
+                match !r with Some g -> Ops.touch g | None -> Value.Int 0)
+          in
+          let g = Ops.future (fun () -> Ops.touch f) in
+          r := Some g;
+          ignore (Ops.touch f))
+    with
+    | exception Olden_runtime.Engine.Deadlock msg -> msg
+    | () -> Alcotest.fail "expected a deadlock"
   in
   (* the enriched report: last span per parked processor + dump path *)
   let contains hay needle =
@@ -467,11 +460,15 @@ let test_flight_dump_on_deadlock () =
 (* --- Off means off ---------------------------------------------------------- *)
 
 let test_off_by_default () =
-  check bool "no span sink installed" false (Span.is_on ());
-  (* the hooks are no-ops rather than errors when nothing is installed *)
+  check bool "no collect running" false (Span.is_on ());
+  (* the lookup form is a no-op rather than an error outside [collect] *)
   Span.child ~kind:Span.Drop ~proc:0 ~t0:0 ~t1:0 ~a:0 ~b:0;
-  Span.clear (Span.switch ());
-  check int "no ambient trace" (-1) (Span.trace_proc (Span.switch ()))
+  let e = Engine.create (Config.make ~nprocs:2 ()) in
+  check bool "an engine without sinks shares the off value" true
+    (Engine.obs e == Obs.off);
+  check bool "whose span state is off" false (Span.on (Engine.obs e).Obs.span);
+  check int "and holds no trace context" (-1)
+    (Span.trace_proc (Engine.obs e).Obs.span)
 
 let test_span_neutral () =
   (* collecting spans must not perturb the simulation: identical result,
@@ -487,73 +484,103 @@ let test_span_neutral () =
     (Json.to_string (Stats.to_json plain.B.Common.total_stats))
     (Json.to_string (Stats.to_json o.B.Common.total_stats))
 
-(* --- Switches captured at engine creation ----------------------------------- *)
+(* --- Explicit observability context --------------------------------------- *)
 
-(* [Common.execute] creates the engine first and installs the trace
-   collector, the span collector and the monitor afterwards, so the
-   engine's captured switches must see sinks that arrived later: the
-   streams equal the goldens (recorded with [collect] wrapped around the
-   whole run), and the monitor saw exactly one latency sample per
-   dereference root, kept or folded. *)
-let test_sinks_installed_after_create () =
-  Site.reset ();
-  let h = B.Common.hooks () in
-  h.record_trace <- true;
-  h.record_spans <- true;
-  h.monitor_interval <- Some 10_000;
-  let o =
-    Fun.protect
-      ~finally:(fun () ->
-        h.record_trace <- false;
-        h.record_spans <- false;
-        h.monitor_interval <- None)
-      (fun () ->
-        B.Treeadd.spec.B.Common.run (Config.make ~nprocs:2 ()) ~scale:1_000_000)
+let mig_site = lazy (Site.migrate "ctx.node->next")
+let cache_site = lazy (Site.cache "ctx.node->val")
+
+(* A small program with every episode kind the hooks see: a list whose
+   nodes are spread over the processors, summed under a future by
+   migrating to each node (with a return stub), and again through the
+   software cache. *)
+let list_sum ~n () =
+  let mig = Lazy.force mig_site and cached = Lazy.force cache_site in
+  let p = Ops.nprocs () in
+  let nodes = Array.init n (fun i -> Ops.alloc ~proc:(i * 3 mod p) 2) in
+  Array.iteri
+    (fun i g ->
+      Ops.store_int mig g 0 i;
+      Ops.store_ptr mig g 1 (if i + 1 < n then nodes.(i + 1) else Gptr.null))
+    nodes;
+  let sum site =
+    let rec go g acc =
+      if Gptr.is_null g then acc
+      else go (Ops.load_ptr site g 1) (acc + Ops.load_int site g 0)
+    in
+    go nodes.(0) 0
   in
-  check bool "verified" true o.B.Common.ok;
-  let events = Option.get h.last_trace and spans = Option.get h.last_spans in
-  let kept = Option.get h.last_retention in
-  let m = Option.get h.last_monitor in
-  h.last_trace <- None;
-  h.last_spans <- None;
-  h.last_retention <- None;
-  h.last_monitor <- None;
-  check string "trace stream matches the golden"
-    (read_file "golden/treeadd_p2_trace.jsonl")
-    (Jsonl.to_string events);
-  check string "span stream matches the golden"
-    (read_file "golden/treeadd_p2_spans.jsonl")
-    (Span.jsonl ~folds:kept.Span.folds spans);
-  let deref_roots =
-    Array.fold_left
-      (fun n (s : Span.span) ->
-        if s.Span.parent = -1 && s.Span.kind = Span.Deref then n + 1 else n)
-      (Span.folded kept.Span.folds)
-      spans
+  let f = Ops.future (fun () -> Value.Int (Ops.call (fun () -> sum mig))) in
+  let c = sum cached in
+  let want = n * (n - 1) / 2 in
+  check int "cached sum" want c;
+  match Ops.touch f with
+  | Value.Int m -> check int "migrated sum" want m
+  | _ -> Alcotest.fail "future returned a non-integer"
+
+(* An engine with every sink but the flight recorder, and a function
+   rendering everything it recorded once it has run. *)
+let recording_engine () =
+  let spans = Span.Collector.create () and events = Trace.Collector.create () in
+  let obs =
+    {
+      Obs.events = Some (Trace.Collector.add events);
+      spans = Some spans;
+      flight = None;
+      monitor_interval = Some 500;
+    }
   in
-  let recorded =
-    List.fold_left
-      (fun n (_, (s : Monitor.summary)) -> n + s.Monitor.count)
-      0 (Monitor.deref_summaries m)
+  let e = Engine.create ~obs (Config.make ~nprocs:4 ()) in
+  let export () =
+    let m = Option.get (Engine.monitor e) in
+    Monitor.finish m ~makespan:(Machine.makespan (Engine.machine e));
+    String.concat "\n"
+      [
+        Span.jsonl
+          ~folds:(Span.Collector.retention spans).Span.folds
+          (Span.Collector.spans spans);
+        Jsonl.to_string (Trace.Collector.events events);
+        Monitor.timeseries_jsonl ~header:[] m;
+      ]
   in
-  check bool "the run dereferenced" true (deref_roots > 0);
-  check int "one monitor sample per dereference root" deref_roots recorded
+  (e, export)
+
+(* Engine A runs the program twice; [between] runs in the middle, inside
+   A's program.  Returns A's exports. *)
+let run_a ?(between = ignore) () =
+  let a, export = recording_engine () in
+  Engine.exec a (fun () ->
+      list_sum ~n:24 ();
+      between ();
+      list_sum ~n:24 ());
+  export ()
+
+let spans_of c =
+  Span.jsonl ~folds:(Span.Collector.retention c).Span.folds
+    (Span.Collector.spans c)
+
+let test_two_engines_one_domain () =
+  let alone = run_a () in
+  let b_run obs () =
+    let b = Engine.create ~obs (Config.make ~nprocs:3 ()) in
+    Engine.exec b (list_sum ~n:9)
+  in
+  check string "A is unchanged by a sinkless B inside it" alone
+    (run_a ~between:(b_run Obs.none) ());
+  let inner = Span.Collector.create () in
+  check string "A is unchanged by a recording B inside it" alone
+    (run_a ~between:(b_run { Obs.none with spans = Some inner }) ());
+  let b_alone = Span.Collector.create () in
+  b_run { Obs.none with spans = Some b_alone } ();
+  check bool "B recorded spans" true (Span.Collector.length inner > 0);
+  check string "B's collector holds only B's spans" (spans_of b_alone)
+    (spans_of inner)
 
 let test_exec_on_other_domain () =
-  let e = Engine.create (Config.make ~nprocs:2 ()) in
-  let outcome =
-    Domain.join
-      (Domain.spawn (fun () ->
-           match Engine.exec e (fun () -> Ops.work 1) with
-           | () -> None
-           | exception Invalid_argument msg -> Some msg))
-  in
-  match outcome with
-  | None -> Alcotest.fail "exec on a foreign domain was accepted"
-  | Some msg ->
-      check bool "one-line message" false (String.contains msg '\n');
-      check bool "names Engine.exec" true
-        (String.length msg >= 11 && String.sub msg 0 11 = "Engine.exec")
+  let here, export_here = recording_engine () in
+  Engine.exec here (list_sum ~n:24);
+  let there, export_there = recording_engine () in
+  Domain.join (Domain.spawn (fun () -> Engine.exec there (list_sum ~n:24)));
+  check string "exports byte-identical" (export_here ()) (export_there ())
 
 (* --- Chrome export ---------------------------------------------------------- *)
 
@@ -573,33 +600,8 @@ let test_chrome_export () =
 
 (* --- The collector -------------------------------------------------------- *)
 
-let test_second_collector_refused () =
-  let refused =
-    Invalid_argument "Span.install: a collector is already installed"
-  in
-  let c = Span.Collector.create () in
-  Span.install c;
-  Fun.protect ~finally:Span.uninstall (fun () ->
-      Alcotest.check_raises "a second install" refused (fun () ->
-          Span.install (Span.Collector.create ())));
-  (* the case that used to lose the outer stream: [collect] around a
-     driver that installs its own collector *)
-  let h = B.Common.hooks () in
-  h.record_spans <- true;
-  Alcotest.check_raises "collect around a recording driver" refused
-    (fun () ->
-      Fun.protect
-        ~finally:(fun () -> h.record_spans <- false)
-        (fun () ->
-          ignore
-            (Span.collect (fun () ->
-                 B.Treeadd.spec.B.Common.run (Config.make ~nprocs:2 ())
-                   ~scale:1_000_000))));
-  check bool "nothing left installed" false (Span.is_on ())
-
 let test_collector_chunks () =
   let n = (3 * Span.Collector.chunk_size) + 17 in
-  Span.reset ();
   let (), spans, _ =
     Span.collect (fun () ->
         for i = 0 to n - 1 do
@@ -616,18 +618,19 @@ let test_collector_chunks () =
 
 (* Kept out of line so no register or stack slot of the test still holds
    the collector when the GC runs. *)
-let[@inline never] install_and_uninstall w =
+let[@inline never] run_and_drop w =
   let c = Span.Collector.create () in
   Weak.set w 0 (Some c);
-  Span.install c;
-  Span.child ~kind:Span.Service ~proc:0 ~t0:0 ~t1:1 ~a:0 ~b:0;
-  Span.uninstall ()
+  ignore
+    (Engine.run ~obs:{ Obs.none with spans = Some c }
+       (Config.make ~nprocs:2 ()) (list_sum ~n:8))
 
 let test_collector_released () =
   let w = Weak.create 1 in
-  install_and_uninstall w;
+  run_and_drop w;
   Gc.full_major ();
-  check bool "collector collected after uninstall" false (Weak.check w 0)
+  check bool "collector collected once the caller drops it" false
+    (Weak.check w 0)
 
 let suite =
   [
@@ -651,14 +654,12 @@ let suite =
     Alcotest.test_case "span collection never perturbs the run" `Quick
       test_span_neutral;
     Alcotest.test_case "chrome export flow arrows" `Quick test_chrome_export;
-    Alcotest.test_case "sinks installed after Engine.create see everything"
-      `Quick test_sinks_installed_after_create;
-    Alcotest.test_case "exec on another domain is rejected" `Quick
+    Alcotest.test_case "two engines on one domain record apart"
+      `Quick test_two_engines_one_domain;
+    Alcotest.test_case "exports equal when run on other domain" `Quick
       test_exec_on_other_domain;
-    Alcotest.test_case "a second collector is refused" `Quick
-      test_second_collector_refused;
     Alcotest.test_case "collector keeps order across chunks" `Quick
       test_collector_chunks;
-    Alcotest.test_case "collector released after uninstall" `Quick
+    Alcotest.test_case "no hidden reference keeps the collector" `Quick
       test_collector_released;
   ]

@@ -166,12 +166,13 @@ let test_metrics_delta () =
 (* --- The emit guard allocates nothing when tracing is off ----------------- *)
 
 let test_disabled_no_alloc () =
-  assert (not (Trace.is_on ()));
+  let tr = Trace.off in
+  assert (not (Trace.on tr));
   let probe () =
     (* the pattern every emission site uses *)
     for i = 1 to 10_000 do
-      if Trace.is_on () then
-        Trace.emit
+      if Trace.on tr then
+        Trace.emit tr
           { Trace.time = i; proc = 0; tid = 0; site = 0; kind = Trace.Steal }
     done
   in
@@ -191,7 +192,7 @@ let run_treeadd () =
   Site.reset ();
   let cfg = Config.make ~nprocs:2 () in
   let o, events =
-    Trace.collect (fun () ->
+    Obs_run.traced (fun () ->
         B.Treeadd.spec.B.Common.run cfg ~scale:1_000_000)
   in
   check bool "verified" true o.B.Common.ok;
@@ -249,7 +250,7 @@ let test_metrics_snapshot_stable () =
     Site.reset ();
     let cfg = Config.make ~nprocs:2 () in
     let o, events =
-      Trace.collect (fun () ->
+      Obs_run.traced (fun () ->
           B.Treeadd.spec.B.Common.run cfg ~scale:1_000_000)
     in
     check bool "verified" true o.B.Common.ok;
@@ -268,7 +269,7 @@ let test_em3d_run_twice_deterministic () =
     Site.reset ();
     let cfg = Config.make ~nprocs:8 () in
     let o, events =
-      Trace.collect (fun () -> B.Em3d.spec.B.Common.run cfg ~scale:1024)
+      Obs_run.traced (fun () -> B.Em3d.spec.B.Common.run cfg ~scale:1024)
     in
     check bool "verified" true o.B.Common.ok;
     Json.to_string
@@ -282,7 +283,7 @@ let test_cache_events_em3d () =
   Site.reset ();
   let cfg = Config.make ~nprocs:2 () in
   let o, events =
-    Trace.collect (fun () -> B.Em3d.spec.B.Common.run cfg ~scale:1024)
+    Obs_run.traced (fun () -> B.Em3d.spec.B.Common.run cfg ~scale:1024)
   in
   check bool "verified" true o.B.Common.ok;
   let has p = Array.exists p events in
